@@ -5,7 +5,9 @@
 # runs without registry or network access:
 #
 #   1. release build of the whole workspace
-#   2. full test suite (unit + integration + testkit property tests)
+#   2. full test suite (unit + integration + testkit property tests),
+#      then the benchmark's own tests (heapbench is a separate Cargo
+#      workspace: schedule hash, corpus determinism, metric tables)
 #   3. clippy with warnings denied
 #   4. rustdoc with warnings denied (every public item stays documented)
 #   5. a smoke run of the two-phase tool, sequential and sharded, checking
@@ -62,6 +64,7 @@ cargo build --release --workspace
 
 echo "== test =="
 cargo test -q --workspace
+cargo test -q --manifest-path heapbench/Cargo.toml
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use heapdrag_vm::ids::{ChainId, SiteId};
 
-pub(crate) use crate::engine::{accumulate_shard, PartialStats, ShardAccum};
+pub(crate) use crate::engine::{accumulate_shard, DragTables, PartialStats, ShardAccum};
 use crate::integrals::Integrals;
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 use crate::pattern::{classify_from_sums, LifetimePattern, PatternConfig, TransformKind};
@@ -299,8 +299,8 @@ impl DragAnalyzer {
     where
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let accum = accumulate_shard(records, &self.config.patterns, &innermost);
-        self.finalize(accum)
+        let accum = accumulate_shard(records, &self.config.patterns);
+        self.finalize(accum.derive(&innermost))
     }
 
     /// The sharded analysis: splits `records` into
@@ -356,12 +356,12 @@ impl DragAnalyzer {
         let innermost = &innermost;
         let shard_results: Vec<(ShardAccum, ShardMetrics)> = if workers <= 1 {
             let t = Instant::now();
-            let accum = accumulate_shard(records, patterns, innermost);
+            let accum = accumulate_shard(records, patterns);
             let m = ShardMetrics {
                 shard: 0,
                 records: records.len() as u64,
                 samples: 0,
-                groups: accum.group_count(),
+                groups: accum.group_count(innermost),
                 elapsed: t.elapsed(),
             };
             vec![(accum, m)]
@@ -377,12 +377,12 @@ impl DragAnalyzer {
                 .map(|(shard, (slot, slice))| {
                     Box::new(move || {
                         let t = Instant::now();
-                        let accum = accumulate_shard(slice, patterns, innermost);
+                        let accum = accumulate_shard(slice, patterns);
                         let m = ShardMetrics {
                             shard,
                             records: slice.len() as u64,
                             samples: 0,
-                            groups: accum.group_count(),
+                            groups: accum.group_count(innermost),
                             elapsed: t.elapsed(),
                         };
                         *slot = Some((accum, m));
@@ -402,21 +402,22 @@ impl DragAnalyzer {
             merged.merge(accum);
             metrics.shards.push(m);
         }
-        let report = self.finalize(merged);
+        let report = self.finalize(merged.derive(innermost));
         metrics.merge_elapsed = merge_start.elapsed();
         metrics.total_elapsed = start.elapsed();
         (report, metrics)
     }
 
-    /// Classification, entry construction, and sorting over merged groups.
-    pub(crate) fn finalize(&self, accum: ShardAccum) -> DragReport {
+    /// Classification, entry construction, and sorting over the tables
+    /// derived from the merged pair partition.
+    pub(crate) fn finalize(&self, tables: DragTables) -> DragReport {
         let patterns = &self.config.patterns;
-        let ShardAccum {
+        let DragTables {
             nested,
             coarse,
             pairs,
             totals,
-        } = accum;
+        } = tables;
 
         let mut by_nested_site: Vec<NestedSiteEntry> =
             finalize_groups(nested, patterns, |site, stats| NestedSiteEntry { site, stats });

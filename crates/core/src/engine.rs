@@ -2,15 +2,21 @@
 //! offline analyzer, the streaming pipeline, and the in-process live
 //! profiler.
 //!
-//! Historically the per-site fold lived inside [`crate::analyzer`] (the
-//! sharded record-slice path) and [`crate::pipeline`] (the streaming
-//! path) as two thin private wrappers around the same accumulator. The
-//! [`DragEngine`] extracts that fold behind one type so a third consumer
-//! — the live in-VM feed of [`crate::live`] — folds events through
-//! *exactly* the code path the offline report uses. Offline behaviour is
-//! unchanged: an engine built with [`DragEngine::offline`] performs the
-//! identical integer sums in the identical order, so reports stay
-//! byte-identical.
+//! The fold writes **one** partition: each record adds into the cell of
+//! its (allocation site, last-use site) pair (`ShardAccum`; the last-use
+//! site is `None` for never-used objects) — one map update and one
+//! `PartialStats::add` per record. The report's other tables are all
+//! coarsenings of that partition, so they are derived from it after the
+//! fold (`ShardAccum::derive`): a nested site merges its pairs, a coarse
+//! site merges the nested sites its resolver maps to it, and the totals
+//! sum every cell. Every merge is integer addition, so the derived tables
+//! equal a direct fold of the records into each of them, for any shard
+//! count and any merge order (see `tests/derived_tables.rs`).
+//!
+//! The sharded record-slice path in [`crate::analyzer`] calls that fold
+//! directly; the [`DragEngine`] wraps it for the streaming path in
+//! [`crate::pipeline`] and the live in-VM feed of [`crate::live`], so all
+//! three fold through *exactly* the code path the offline report uses.
 //!
 //! On top of the shared fold the engine offers two live-only dimensions:
 //!
@@ -37,7 +43,7 @@
 //! post-mortem report byte-for-byte when no ring-buffer events were
 //! dropped (see `tests/live_parity.rs`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use heapdrag_vm::ids::{ChainId, ClassId, ObjectId, SiteId};
 
@@ -50,8 +56,8 @@ use crate::record::{GcSample, ObjectRecord, RetainRecord};
 /// pattern represented by its sufficient statistics
 /// ([`PatternSums`](crate::pattern::PatternSums)) rather than a member
 /// list. Merging two partials is integer addition, so shard merges — and
-/// the streaming fold, which never sees two records of a group at once —
-/// cannot drift from the sequential result.
+/// the coarser tables merged out of the pair partition — cannot drift
+/// from a direct fold of the same records.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PartialStats {
     pub(crate) bytes: u64,
@@ -62,17 +68,20 @@ pub(crate) struct PartialStats {
 }
 
 impl PartialStats {
-    pub(crate) fn add(&mut self, r: &ObjectRecord, patterns: &PatternConfig) {
+    /// Folds one record whose never-used test (`never_used`) the caller
+    /// has already made.
+    pub(crate) fn add(&mut self, r: &ObjectRecord, never_used: bool, patterns: &PatternConfig) {
+        let drag = r.drag();
         self.bytes += r.size;
         self.reachable += r.reachable_product();
         self.in_use += r.in_use_product();
-        if r.is_never_used(patterns.ctor_use_window) {
-            self.never_used_drag += r.drag();
+        if never_used {
+            self.never_used_drag += drag;
         }
-        self.pattern.add(r, patterns);
+        self.pattern.add(r, drag, never_used, patterns);
     }
 
-    fn merge(&mut self, other: &PartialStats) {
+    pub(crate) fn merge(&mut self, other: &PartialStats) {
         self.bytes += other.bytes;
         self.never_used_drag += other.never_used_drag;
         self.reachable += other.reachable;
@@ -81,56 +90,59 @@ impl PartialStats {
     }
 }
 
-/// All three partitions plus totals for one shard of records.
-/// `Clone` lets the serve layer finalize a per-session report while
-/// retaining the accumulator for the fleet-wide merge.
+/// A cell of the pair partition: the nested allocation site and the
+/// nested last-use site, `None` when the object was never used.
+pub(crate) type PairKey = (ChainId, Option<ChainId>);
+
+/// The one partition the fold writes, for one shard of records: sums per
+/// (allocation site, last-use site) pair. Every other table of the report
+/// is a coarsening of it — see [`DragTables`]. `Clone` lets the serve
+/// layer finalize a per-session report while retaining the accumulator
+/// for the fleet-wide merge.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardAccum {
-    pub(crate) nested: HashMap<ChainId, PartialStats>,
-    pub(crate) coarse: HashMap<SiteId, PartialStats>,
-    pub(crate) pairs: HashMap<(ChainId, Option<ChainId>), PartialStats>,
-    pub(crate) totals: Integrals,
+    pub(crate) pairs: HashMap<PairKey, PartialStats>,
 }
 
 impl ShardAccum {
-    pub(crate) fn group_count(&self) -> u64 {
-        (self.nested.len() + self.coarse.len() + self.pairs.len()) as u64
-    }
-
-    /// Folds one record into all three partitions and the totals.
-    pub(crate) fn add<F>(&mut self, r: &ObjectRecord, patterns: &PatternConfig, innermost: &F)
-    where
-        F: Fn(ChainId) -> Option<SiteId> + ?Sized,
-    {
-        self.nested.entry(r.alloc_site).or_default().add(r, patterns);
-        if let Some(s) = innermost(r.alloc_site) {
-            self.coarse.entry(s).or_default().add(r, patterns);
-        }
-        let use_site = if r.is_never_used(patterns.ctor_use_window) {
-            None
-        } else {
-            r.last_use_site
-        };
+    /// Folds one record: one map update, one [`PartialStats::add`].
+    pub(crate) fn add(&mut self, r: &ObjectRecord, patterns: &PatternConfig) {
+        let never_used = r.is_never_used(patterns.ctor_use_window);
+        let use_site = if never_used { None } else { r.last_use_site };
         self.pairs
             .entry((r.alloc_site, use_site))
             .or_default()
-            .add(r, patterns);
-        self.totals.reachable += r.reachable_product();
-        self.totals.in_use += r.in_use_product();
+            .add(r, never_used, patterns);
     }
 
     pub(crate) fn merge(&mut self, other: ShardAccum) {
-        for (k, g) in other.nested {
-            self.nested.entry(k).or_default().merge(&g);
-        }
-        for (k, g) in other.coarse {
-            self.coarse.entry(k).or_default().merge(&g);
-        }
         for (k, g) in other.pairs {
             self.pairs.entry(k).or_default().merge(&g);
         }
-        self.totals.reachable += other.totals.reachable;
-        self.totals.in_use += other.totals.in_use;
+    }
+
+    /// Per-nested-site sums: the pairs merged by allocation site.
+    fn nested(&self) -> HashMap<ChainId, PartialStats> {
+        let mut nested: HashMap<ChainId, PartialStats> = HashMap::new();
+        for (&(alloc_site, _), g) in &self.pairs {
+            nested.entry(alloc_site).or_default().merge(g);
+        }
+        nested
+    }
+
+    /// Distinct groups (nested + coarse + pair cells) the derived tables
+    /// hold, counted without deriving them.
+    pub(crate) fn group_count<F>(&self, innermost: &F) -> u64
+    where
+        F: Fn(ChainId) -> Option<SiteId> + ?Sized,
+    {
+        let nested: HashSet<ChainId> = self
+            .pairs
+            .keys()
+            .map(|&(alloc_site, _)| alloc_site)
+            .collect();
+        let coarse: HashSet<SiteId> = nested.iter().filter_map(|&c| innermost(c)).collect();
+        (nested.len() + coarse.len() + self.pairs.len()) as u64
     }
 
     /// Every chain id the accumulator has seen — allocation chains plus
@@ -138,28 +150,68 @@ impl ShardAccum {
     /// after the VM exits, so its final report renders the same site
     /// strings the log writer would have emitted.
     pub(crate) fn chain_ids(&self) -> Vec<ChainId> {
-        let mut ids: Vec<ChainId> = self.nested.keys().copied().collect();
-        ids.extend(self.pairs.keys().filter_map(|(_, last_use)| *last_use));
+        let mut ids: Vec<ChainId> = self
+            .pairs
+            .keys()
+            .flat_map(|&(alloc_site, last_use)| std::iter::once(alloc_site).chain(last_use))
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         ids
     }
+
+    /// Derives the report's tables from the pair partition: nested sites
+    /// merge their pairs, coarse sites merge their nested sites through
+    /// `innermost` (chains it resolves to `None` join no coarse site),
+    /// and the totals sum every nested site. Each step is integer addition, so
+    /// the tables equal a direct fold of the records into each of them.
+    pub(crate) fn derive<F>(self, innermost: &F) -> DragTables
+    where
+        F: Fn(ChainId) -> Option<SiteId> + ?Sized,
+    {
+        let nested = self.nested();
+        let mut coarse: HashMap<SiteId, PartialStats> = HashMap::new();
+        let mut totals = Integrals::default();
+        for (&site, g) in &nested {
+            if let Some(s) = innermost(site) {
+                coarse.entry(s).or_default().merge(g);
+            }
+            totals.reachable += g.reachable;
+            totals.in_use += g.in_use;
+        }
+        DragTables {
+            nested,
+            coarse,
+            pairs: self.pairs,
+            totals,
+        }
+    }
+}
+
+/// The four views of a run the report renders, derived from one
+/// [`ShardAccum`] by [`ShardAccum::derive`].
+#[derive(Debug)]
+pub(crate) struct DragTables {
+    pub(crate) nested: HashMap<ChainId, PartialStats>,
+    pub(crate) coarse: HashMap<SiteId, PartialStats>,
+    pub(crate) pairs: HashMap<PairKey, PartialStats>,
+    pub(crate) totals: Integrals,
+}
+
+impl DragTables {
+    /// Distinct groups across the three tables.
+    pub(crate) fn group_count(&self) -> u64 {
+        (self.nested.len() + self.coarse.len() + self.pairs.len()) as u64
+    }
 }
 
 /// Accumulates one contiguous shard.
-pub(crate) fn accumulate_shard<F>(
-    records: &[ObjectRecord],
-    patterns: &PatternConfig,
-    innermost: &F,
-) -> ShardAccum
-where
-    F: Fn(ChainId) -> Option<SiteId>,
-{
-    let mut engine = DragEngine::offline(*patterns, innermost);
+pub(crate) fn accumulate_shard(records: &[ObjectRecord], patterns: &PatternConfig) -> ShardAccum {
+    let mut accum = ShardAccum::default();
     for r in records {
-        engine.fold(r);
+        accum.add(r, patterns);
     }
-    engine.into_accum()
+    accum
 }
 
 /// How much history a live engine aggregates per site.
@@ -523,7 +575,7 @@ where
         self.records += 1;
         self.alloc_bytes += r.size;
         self.at_exit += u64::from(r.at_exit);
-        self.accum.add(r, &self.patterns, &self.innermost);
+        self.accum.add(r, &self.patterns);
         self.clock = self.clock.max(r.freed);
         if let Some(live) = &mut self.live {
             if let Some(ring) = &mut live.ring {
@@ -676,11 +728,11 @@ where
             Some(ring) => ring.in_window(self.clock),
             None => self
                 .accum
-                .nested
-                .iter()
+                .nested()
+                .into_iter()
                 .map(|(site, p)| {
                     (
-                        *site,
+                        site,
                         WindowCell {
                             objects: p.pattern.objects,
                             bytes: p.bytes,
@@ -818,8 +870,10 @@ where
         self.accum.chain_ids()
     }
 
-    pub(crate) fn into_accum(self) -> ShardAccum {
-        self.accum
+    /// The report's tables, derived from the folded pair partition with
+    /// this engine's resolver.
+    pub(crate) fn into_tables(self) -> DragTables {
+        self.accum.derive(&self.innermost)
     }
 
     pub(crate) fn into_fold_parts(self) -> (ShardAccum, u64, u64, u64, u64, Vec<RetainRecord>) {
@@ -908,7 +962,7 @@ mod tests {
             assert_eq!(&rebuilt, r);
         }
         assert_eq!(engine.unmatched(), 0);
-        let live = crate::DragAnalyzer::new().finalize(engine.into_accum());
+        let live = crate::DragAnalyzer::new().finalize(engine.into_tables());
         assert_eq!(live, offline);
     }
 

@@ -412,7 +412,7 @@ where
     let analyzer = DragAnalyzer::with_config(AnalyzerConfig {
         patterns: options.patterns,
     });
-    let mut report = analyzer.finalize(engine.into_accum());
+    let mut report = analyzer.finalize(engine.into_tables());
     report.attach_retains(&retains);
 
     if let Some(r) = registry {

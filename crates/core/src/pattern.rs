@@ -139,17 +139,25 @@ pub(crate) struct PatternSums {
 }
 
 impl PatternSums {
-    pub(crate) fn add(&mut self, r: &ObjectRecord, config: &PatternConfig) {
+    /// Folds one record whose drag and never-used test the caller has
+    /// already computed.
+    pub(crate) fn add(
+        &mut self,
+        r: &ObjectRecord,
+        drag: u128,
+        never_used: bool,
+        config: &PatternConfig,
+    ) {
         self.objects += 1;
-        if r.is_never_used(config.ctor_use_window) {
-            self.never_used += 1;
-        }
-        if is_large_drag(r, config) {
-            self.large_drag += 1;
-        }
-        let d = r.drag();
-        self.drag += d;
-        self.drag_sq.add_assign(U256::mul_u128(d, d));
+        self.never_used += u64::from(never_used);
+        self.large_drag += u64::from(is_large_drag(r, config));
+        self.drag += drag;
+        self.drag_sq.add_assign(U256::mul_u128(drag, drag));
+    }
+
+    /// Folds one record, computing its drag and never-used test.
+    pub(crate) fn add_record(&mut self, r: &ObjectRecord, config: &PatternConfig) {
+        self.add(r, r.drag(), r.is_never_used(config.ctor_use_window), config);
     }
 
     pub(crate) fn merge(&mut self, other: &PatternSums) {
@@ -207,7 +215,7 @@ pub(crate) fn classify_from_sums(sums: &PatternSums, config: &PatternConfig) -> 
 pub fn classify(records: &[&ObjectRecord], config: &PatternConfig) -> LifetimePattern {
     let mut sums = PatternSums::default();
     for r in records {
-        sums.add(r, config);
+        sums.add_record(r, config);
     }
     classify_from_sums(&sums, config)
 }
@@ -303,14 +311,14 @@ mod tests {
         rs.push(record(0, Some(10_000), 100_000_000));
         let mut whole = PatternSums::default();
         for r in &rs {
-            whole.add(r, &config);
+            whole.add_record(r, &config);
         }
         for split in [1, 2, 5, rs.len()] {
             let mut merged = PatternSums::default();
             for chunk in rs.chunks(split) {
                 let mut part = PatternSums::default();
                 for r in chunk {
-                    part.add(r, &config);
+                    part.add_record(r, &config);
                 }
                 merged.merge(&part);
             }

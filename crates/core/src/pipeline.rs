@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use heapdrag_vm::ids::{ChainId, SiteId};
 use heapdrag_vm::program::Program;
 
-use crate::analyzer::{accumulate_shard, DragAnalyzer, DragReport, ShardAccum};
+use crate::analyzer::{DragAnalyzer, DragReport, ShardAccum};
 use crate::codec::LogFormat;
 use crate::engine::DragEngine;
 use crate::log::{
@@ -198,15 +198,21 @@ impl StreamReport {
     }
 }
 
-/// The mergeable half of a streamed analysis: the exact-integer per-site
-/// partial aggregates plus the log-level context, before classification
+/// The innermost-site resolver for trace chain ids: a chain id in a
+/// trace is its own innermost site.
+pub(crate) fn trace_site(c: ChainId) -> Option<SiteId> {
+    Some(SiteId(c.0))
+}
+
+/// The mergeable half of a streamed analysis: the exact-integer pair
+/// partition plus the log-level context, before classification
 /// and sorting. This is what a serve session retains — partials of
 /// different sessions merge commutatively (the same [`ShardAccum::merge`]
 /// the shard merge uses), which is what makes the fleet report invariant
 /// under session arrival order.
 #[derive(Debug, Clone)]
 pub(crate) struct AnalyzePartials {
-    /// Per-site partial aggregates (exact integers, commutative merge).
+    /// The pair partition (exact integers, commutative merge).
     pub(crate) accum: ShardAccum,
     /// Object records folded.
     pub(crate) records: u64,
@@ -382,7 +388,7 @@ impl Pipeline {
     ///
     /// As [`ingest_reader`](Self::ingest_reader).
     pub fn analyze_reader<R: io::Read>(&self, reader: R) -> Result<StreamReport, PipelineError> {
-        self.analyze_reader_with(reader, |c| Some(SiteId(c.0)))
+        self.analyze_reader_with(reader, trace_site)
     }
 
     /// [`analyze_reader`](Self::analyze_reader) with an explicit
@@ -401,27 +407,26 @@ impl Pipeline {
         R: io::Read,
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let partials = self.analyze_partials_on(WorkerPool::shared(), reader, innermost)?;
-        Ok(self.finalize_partials(partials))
+        let partials = self.analyze_partials_on(WorkerPool::shared(), reader)?;
+        Ok(self.finalize_partials(partials, &innermost))
     }
 
-    /// The streaming-analyze front half: fold the whole trace into
-    /// per-site partial aggregates (plus everything else the stream
-    /// produced), decoding on `pool`, without finalizing a report. The
-    /// serve layer runs one of these per session and keeps the partials:
-    /// cloned-and-finalized for the per-session report, merged across
-    /// sessions for the fleet report.
-    pub(crate) fn analyze_partials_on<R, F>(
+    /// The streaming-analyze front half: fold the whole trace into the
+    /// pair partition (plus everything else the stream produced),
+    /// decoding on `pool`, without finalizing a report. The pairs need no
+    /// innermost-site resolver; [`finalize_partials`](Self::finalize_partials)
+    /// takes it. The serve layer runs one of these per session and keeps
+    /// the partials: cloned-and-finalized for the per-session report,
+    /// merged across sessions for the fleet report.
+    pub(crate) fn analyze_partials_on<R>(
         &self,
         pool: &WorkerPool,
         reader: R,
-        innermost: F,
     ) -> Result<AnalyzePartials, PipelineError>
     where
         R: io::Read,
-        F: Fn(ChainId) -> Option<SiteId>,
     {
-        let fold = DragEngine::offline(self.analyzer.config().patterns, innermost);
+        let fold = DragEngine::offline(self.analyzer.config().patterns, trace_site);
         let out = stream::run(reader, &self.par, &self.ingest, fold, pool)?;
         let (accum, records, alloc_bytes, at_exit, samples, retains) =
             out.fold.into_fold_parts();
@@ -440,13 +445,27 @@ impl Pipeline {
         })
     }
 
-    /// The streaming-analyze back half: classify, sort, and package the
-    /// partial aggregates into a [`StreamReport`]. `finalize_partials ∘
-    /// analyze_partials_on` is exactly `analyze_reader_with`.
-    pub(crate) fn finalize_partials(&self, partials: AnalyzePartials) -> StreamReport {
+    /// The streaming-analyze back half: derive the report's tables from
+    /// the pairs with `innermost`, classify, sort, and package them into a
+    /// [`StreamReport`]. `finalize_partials ∘ analyze_partials_on` is
+    /// exactly `analyze_reader_with`.
+    ///
+    /// The records were folded during the parse stage's pass, so the
+    /// analyze stage times only this step: its one shard did no fold work
+    /// of its own, and the derive, classify, sort and retain attachment
+    /// are its sequential merge.
+    pub(crate) fn finalize_partials<F>(
+        &self,
+        partials: AnalyzePartials,
+        innermost: &F,
+    ) -> StreamReport
+    where
+        F: Fn(ChainId) -> Option<SiteId> + ?Sized,
+    {
         let finalize_start = Instant::now();
-        let groups = partials.accum.group_count();
-        let mut report = self.analyzer.finalize(partials.accum);
+        let tables = partials.accum.derive(innermost);
+        let groups = tables.group_count();
+        let mut report = self.analyzer.finalize(tables);
         report.attach_retains(&partials.retains);
         let finalize_elapsed = finalize_start.elapsed();
         let analyze_metrics = ParallelMetrics {
@@ -455,11 +474,11 @@ impl Pipeline {
                 records: partials.records,
                 samples: partials.samples,
                 groups,
-                elapsed: partials.parse_metrics.total_elapsed,
+                elapsed: Duration::ZERO,
             }],
             split_elapsed: Duration::ZERO,
             merge_elapsed: finalize_elapsed,
-            total_elapsed: partials.parse_metrics.total_elapsed + finalize_elapsed,
+            total_elapsed: finalize_elapsed,
         };
         StreamReport {
             report,
@@ -496,8 +515,7 @@ impl Pipeline {
     where
         F: Fn(ChainId) -> Option<SiteId>,
     {
-        let accum = accumulate_shard(records, &self.analyzer.config().patterns, &innermost);
-        self.analyzer.finalize(accum)
+        self.analyzer.analyze(records, innermost)
     }
 
     /// Streams a profiling run to `writer` in the builder's

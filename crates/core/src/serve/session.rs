@@ -15,11 +15,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use heapdrag_obs::{Counter, Gauge, Registry};
-use heapdrag_vm::ids::{ChainId, SiteId};
+use heapdrag_vm::ids::ChainId;
 
 use crate::analyzer::ShardAccum;
 use crate::log::SalvageSummary;
-use crate::pipeline::{AnalyzePartials, Pipeline, PipelineError};
+use crate::pipeline::{trace_site, AnalyzePartials, Pipeline, PipelineError};
 use crate::report::ReportSections;
 use crate::serve::WorkerPool;
 use crate::stream::flight_cap;
@@ -556,7 +556,7 @@ impl ServeManager {
     }
 
     /// The deterministic fleet-aggregate report: merges every completed
-    /// session's exact-integer per-site partials with the same
+    /// session's exact-integer pair partition with the same
     /// commutative fold the shard merge uses, then classifies and sorts
     /// once. Invariant under session arrival order and pool size; chain
     /// ids are assumed to share a site namespace across sessions (the
@@ -614,7 +614,7 @@ impl ServeManager {
             parse_metrics: Default::default(),
             stats: Default::default(),
         };
-        let sr = pipe.finalize_partials(fleet);
+        let sr = pipe.finalize_partials(fleet, &trace_site);
         format!(
             "=== fleet drag report: {merged_sessions} sessions merged, \
              {records} records, {alloc_bytes} bytes allocated ===\n\n{}",
@@ -667,7 +667,7 @@ fn respond(responder: &mut Option<Box<dyn Write + Send>>, message: &str) {
 /// Finalizes retained partials into the user-facing report string —
 /// byte-identical to the single-shot path in `tests/streaming_parity.rs`.
 fn render_session(pipe: &Pipeline, partials: AnalyzePartials, top: usize) -> String {
-    let sr = pipe.finalize_partials(partials);
+    let sr = pipe.finalize_partials(partials, &trace_site);
     let mut sections = ReportSections::standard(&sr.report, &sr).top(top);
     if sr.salvage.salvage {
         sections = sections.salvage_footer(&sr.salvage);
@@ -754,7 +754,7 @@ fn run_session(
         inner,
         cancel: Arc::clone(cancel),
     };
-    let partials = pipe.analyze_partials_on(&shared.pool, reader, |c| Some(SiteId(c.0)))?;
+    let partials = pipe.analyze_partials_on(&shared.pool, reader)?;
     partials.stats.publish_metrics(&shared.registry);
     Ok(partials)
 }

@@ -36,7 +36,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::builder::ProgramBuilder;
+use crate::builder::{LabelError, ProgramBuilder};
 use crate::class::Visibility;
 use crate::error::VmError;
 use crate::ids::{ClassId, MethodId};
@@ -440,7 +440,8 @@ impl<'a> Assembler<'a> {
             let n = line.number;
             if let Some(label) = text.strip_suffix(':') {
                 if label.split_whitespace().count() == 1 {
-                    m.label(label.trim());
+                    m.try_label(label.trim())
+                        .map_err(|e| err(n, e.to_string()))?;
                     continue;
                 }
             }
@@ -635,7 +636,16 @@ impl<'a> Assembler<'a> {
                 other => return Err(err(n, format!("unknown instruction `{other}`"))),
             }
         }
-        m.finish();
+        m.try_finish().map_err(|e| {
+            // Blame the first line that references the missing label.
+            let (LabelError::NeverPlaced(name) | LabelError::PlacedTwice(name)) = &e;
+            let line = decl
+                .body
+                .iter()
+                .find(|l| l.text.split_whitespace().skip(1).any(|w| w == name))
+                .map_or(decl.decl_line, |l| l.number);
+            err(line, e.to_string())
+        })?;
         Ok(())
     }
 }

@@ -32,6 +32,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::class::{ClassDef, FieldDef, Handler, Method, Visibility};
 use crate::error::VmError;
@@ -270,6 +271,29 @@ impl ClassBuilder<'_> {
     }
 }
 
+/// A jump-label fault in one method body, reported by
+/// [`MethodBuilder::try_label`] and [`MethodBuilder::try_finish`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LabelError {
+    /// The label was placed a second time.
+    PlacedTwice(String),
+    /// A jump, branch or handler referenced a label that was never placed.
+    NeverPlaced(String),
+}
+
+impl fmt::Display for LabelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LabelError::PlacedTwice(name) => write!(f, "label `{name}` placed twice"),
+            LabelError::NeverPlaced(name) => {
+                write!(f, "label `{name}` referenced but never placed")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LabelError {}
+
 /// Builder for one method body; created by [`ProgramBuilder::begin_body`].
 ///
 /// Emission methods return `&mut Self` for chaining. Control flow uses
@@ -328,13 +352,26 @@ impl MethodBuilder<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the label was already placed.
+    /// Panics if the label was already placed; see
+    /// [`try_label`](Self::try_label) for the fallible form.
     pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
+        self.try_label(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Places a jump label at the current pc.
+    ///
+    /// # Errors
+    ///
+    /// [`LabelError::PlacedTwice`] if the label was already placed; the
+    /// first placement stands.
+    pub fn try_label(&mut self, name: impl Into<String>) -> Result<&mut Self, LabelError> {
         let name = name.into();
+        if self.labels.contains_key(&name) {
+            return Err(LabelError::PlacedTwice(name));
+        }
         let pc = self.pc();
-        let prev = self.labels.insert(name.clone(), pc);
-        assert!(prev.is_none(), "label `{name}` placed twice");
-        self
+        self.labels.insert(name, pc);
+        Ok(self)
     }
 
     fn jump_like(&mut self, make: fn(u32) -> Insn, target: impl Into<String>) -> &mut Self {
@@ -545,31 +582,44 @@ impl MethodBuilder<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if any referenced label was never placed.
+    /// Panics if any referenced label was never placed; see
+    /// [`try_finish`](Self::try_finish) for the fallible form.
     pub fn finish(&mut self) -> MethodId {
+        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves labels and completes the body.
+    ///
+    /// # Errors
+    ///
+    /// [`LabelError::NeverPlaced`] for the first referenced label (jumps
+    /// in emission order, then handlers) that was never placed; the body
+    /// is then incomplete and must be discarded.
+    pub fn try_finish(&mut self) -> Result<MethodId, LabelError> {
         let labels = std::mem::take(&mut self.labels);
-        let resolve = |name: &str| -> u32 {
-            *labels
+        let resolve = |name: &str| -> Result<u32, LabelError> {
+            labels
                 .get(name)
-                .unwrap_or_else(|| panic!("label `{name}` referenced but never placed"))
+                .copied()
+                .ok_or_else(|| LabelError::NeverPlaced(name.to_string()))
         };
         for (pc, name) in std::mem::take(&mut self.fixups) {
-            let target = resolve(&name);
+            let target = resolve(&name)?;
             let code = &mut self.builder.program.methods[self.method.index()].code;
             code[pc as usize] = code[pc as usize].with_jump_target(target);
         }
         for (start, end, handler, catch) in std::mem::take(&mut self.handler_fixups) {
             let h = Handler {
-                start_pc: resolve(&start),
-                end_pc: resolve(&end),
-                handler_pc: resolve(&handler),
+                start_pc: resolve(&start)?,
+                end_pc: resolve(&end)?,
+                handler_pc: resolve(&handler)?,
                 catch,
             };
             self.builder.program.methods[self.method.index()]
                 .handlers
                 .push(h);
         }
-        self.method
+        Ok(self.method)
     }
 }
 

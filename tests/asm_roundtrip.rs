@@ -41,3 +41,35 @@ fn disassembly_is_stable() {
     let t2 = disassemble(&p2);
     assert_eq!(t1, t2);
 }
+
+/// `examples/dragged.hdasm` with its 1-based line `line` replaced by
+/// `with` (or, when `insert` is set, with `with` inserted before it).
+fn mutate_example(line: usize, with: &str, insert: bool) -> String {
+    let source = include_str!("../examples/dragged.hdasm");
+    let mut lines: Vec<&str> = source.lines().collect();
+    if insert {
+        lines.insert(line - 1, with);
+    } else {
+        lines[line - 1] = with;
+    }
+    lines.join("\n")
+}
+
+#[test]
+fn a_jump_to_an_unplaced_label_is_a_typed_error_at_the_jump() {
+    let source = mutate_example(39, "  jump nowhere", false);
+    let e = assemble(&source).expect_err("the label is never placed");
+    assert_eq!(e.line, 39, "{e}");
+    assert_eq!(
+        e.to_string(),
+        "line 39: label `nowhere` referenced but never placed"
+    );
+}
+
+#[test]
+fn a_label_placed_twice_is_a_typed_error_at_the_second_placement() {
+    let source = mutate_example(40, "loop:", true);
+    let e = assemble(&source).expect_err("the label is placed twice");
+    assert_eq!(e.line, 40, "{e}");
+    assert_eq!(e.to_string(), "line 40: label `loop` placed twice");
+}

@@ -111,3 +111,31 @@ fn strict_and_salvage_stay_mutually_exclusive() {
         "heapdrag: --strict and --salvage are mutually exclusive"
     );
 }
+
+#[test]
+fn run_reports_label_faults_as_one_line_errors_not_panics() {
+    let source = include_str!("../examples/dragged.hdasm");
+    let dir = std::env::temp_dir().join(format!("heapdrag-labels-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        (
+            "jump.hdasm",
+            source.replace("  jump loop\n", "  jump nowhere\n"),
+            "line 39: label `nowhere` referenced but never placed",
+        ),
+        (
+            "twice.hdasm",
+            source.replace("done:\n", "loop:\ndone:\n"),
+            "line 40: label `loop` placed twice",
+        ),
+    ];
+    for (name, text, message) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("writes");
+        let path = path.to_str().expect("utf-8 path");
+        let out = heapdrag(&["run", path]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr_line(&out));
+        assert_eq!(stderr_line(&out), format!("heapdrag: {path}: {message}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -96,6 +96,89 @@ fn unbounded_live_reproduces_the_post_mortem_report_for_all_nine_workloads() {
     }
 }
 
+/// The site rows a snapshot prints for `freed`, the records folded so
+/// far: one row per allocation site, folded straight from the records and
+/// rendered the way `heapdrag live` renders them.
+fn direct_site_rows(freed: &[heapdrag::core::ObjectRecord]) -> Vec<String> {
+    use std::collections::HashMap;
+    let mut sites: HashMap<u32, (u64, u64, u128)> = HashMap::new();
+    for r in freed {
+        let row = sites.entry(r.alloc_site.0).or_default();
+        row.0 += 1;
+        row.1 += r.size;
+        row.2 += r.drag();
+    }
+    let mut rows: Vec<(u32, (u64, u64, u128))> = sites.into_iter().collect();
+    rows.sort_by(|a, b| b.1 .2.cmp(&a.1 .2).then(a.0.cmp(&b.0)));
+    rows.iter()
+        .enumerate()
+        .map(|(i, (site, (objects, bytes, drag)))| {
+            format!(
+                "{:>4}  {:>10.3}  {:>7}  {:>10}  chain#{}",
+                i + 1,
+                *drag as f64 / (1024.0 * 1024.0),
+                objects,
+                bytes,
+                site
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn unbounded_snapshot_tables_equal_a_direct_fold_of_the_freed_records() {
+    // Every intermediate snapshot of an unbounded live run lists, for
+    // every allocation site seen so far, the objects, bytes and drag of
+    // the records freed so far — checked against a per-site fold of
+    // exactly those records, for all nine workloads.
+    for w in all_workloads() {
+        let program = w.original();
+        let input = (w.default_input)();
+        let mut snapshots = Vec::new();
+        let live = run_live(
+            &program,
+            &input,
+            VmConfig::profiling(),
+            &LiveOptions {
+                every: 64 * 1024,
+                top: usize::MAX,
+                keep_records: true,
+                ..LiveOptions::default()
+            },
+            None,
+            |s: &str| snapshots.push(s.to_string()),
+        )
+        .unwrap_or_else(|e| panic!("{}: live run: {e}", w.name));
+        assert_eq!(live.dropped, 0, "{}: ring dropped events", w.name);
+        // The collected records come back in object-id order, but the
+        // engine folded them in free order. A stable sort by free time
+        // restores that order: where a snapshot falls inside one
+        // collection's frees, the sweep visited those objects in
+        // object-id order in every one of these (deterministic) runs.
+        let mut records = live.collected.expect("keep_records was set").0;
+        records.sort_by_key(|r| r.freed);
+        assert!(snapshots.len() >= 2, "{}: too few snapshots", w.name);
+        for snap in &snapshots {
+            let folded: usize = snap
+                .lines()
+                .find_map(|l| l.strip_prefix("folded: "))
+                .and_then(|l| l.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("{}: no folded count in\n{snap}", w.name));
+            let rows: Vec<String> = snap
+                .lines()
+                .skip_while(|l| !l.starts_with("rank "))
+                .skip(1)
+                .take_while(|l| !l.starts_with("---"))
+                .map(str::to_string)
+                .collect();
+            let want = direct_site_rows(&records[..folded]);
+            assert!(folded == 0 || !want.is_empty());
+            assert_eq!(rows, want, "{}: snapshot table diverges\n{snap}", w.name);
+        }
+    }
+}
+
 #[test]
 fn the_engine_survives_event_streams_with_dropped_allocs() {
     // When the ring overflows, the consumer sees use/free events whose
