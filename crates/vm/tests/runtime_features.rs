@@ -5,7 +5,7 @@
 use heapdrag_vm::builder::ProgramBuilder;
 use heapdrag_vm::class::Visibility;
 use heapdrag_vm::error::VmError;
-use heapdrag_vm::interp::{Vm, VmConfig};
+use heapdrag_vm::interp::{InterpreterKind, Vm, VmConfig};
 use heapdrag_vm::observer::CountingObserver;
 use heapdrag_vm::value::Value;
 
@@ -206,6 +206,63 @@ fn oom_throws_into_the_program_after_a_forced_gc() {
     };
     let out = Vm::new(&p, config).run(&[]).unwrap();
     assert_eq!(out.output, vec![-1], "OutOfMemoryError caught by the program");
+}
+
+/// One past the VM's per-object slot limit (16 Mi slots).
+const OVER_SLOT_LIMIT: i64 = (1 << 24) + 1;
+
+/// `main(n)` allocates an `n`-element array and prints 1, or prints -1
+/// when the allocation throws `OutOfMemoryError`.
+fn newarray_program(catch_oom: bool) -> heapdrag_vm::program::Program {
+    let mut b = ProgramBuilder::new();
+    let oom = b.builtins().out_of_memory;
+    let main = b.declare_method("main", None, true, 1, 1);
+    {
+        let mut m = b.begin_body(main);
+        m.label("try");
+        m.load(0).push_int(0).aload().new_array().pop();
+        m.push_int(1).print();
+        m.label("end");
+        m.jump("out");
+        m.label("catch");
+        m.pop().push_int(-1).print();
+        m.label("out");
+        m.ret();
+        if catch_oom {
+            m.handler("try", "end", "catch", Some(oom));
+        }
+        m.finish();
+    }
+    b.set_entry(main);
+    b.finish().unwrap()
+}
+
+#[test]
+fn an_oversized_newarray_throws_out_of_memory_before_any_collection() {
+    let catching = newarray_program(true);
+    let plain = newarray_program(false);
+    for interpreter in [InterpreterKind::Fast, InterpreterKind::Reference] {
+        for heap_limit in [None, Some(1 << 20)] {
+            let config = VmConfig {
+                interpreter,
+                heap_limit,
+                ..VmConfig::default()
+            };
+            let ok = Vm::new(&catching, config.clone()).run(&[4]).unwrap();
+            assert_eq!(ok.output, vec![1], "{interpreter:?} {heap_limit:?}");
+            let out = Vm::new(&catching, config.clone())
+                .run(&[OVER_SLOT_LIMIT])
+                .unwrap();
+            assert_eq!(out.output, vec![-1], "{interpreter:?} {heap_limit:?}");
+            assert_eq!(out.heap.full_collections, 0, "no collection first");
+            let err = Vm::new(&plain, config).run(&[4_294_967_295]).unwrap_err();
+            assert!(
+                matches!(&err, VmError::UncaughtException { class_name, .. }
+                    if class_name == "OutOfMemoryError"),
+                "{interpreter:?} {heap_limit:?}: {err:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -5,14 +5,19 @@
 //! Each workload × input is one pool job. A job:
 //!
 //! 1. profiles the original program on the fast interpreter,
-//! 2. streams the trace through the [`Pipeline`] API (encode → ingest →
-//!    sharded analyze) and ranks allocation sites by drag integral,
+//! 2. ranks allocation sites by drag integral, feeding the run's records
+//!    straight to the sharded [`Pipeline`] analyze stage (the report a
+//!    decoded trace of the run would give, since the codecs are lossless),
 //! 3. for each ranked site, selects the pattern-appropriate rewriting
 //!    (assign-null / dead-code / lazy-alloc) via the §5 analyses,
 //! 4. applies it *transactionally*: the candidate program must pass an
 //!    output-differential equivalence check
 //!    ([`check_equivalence`]) on both benchmark inputs or the rewrite is
-//!    reverted and recorded as `rejected-by-verify`,
+//!    reverted and recorded as `rejected-by-verify`. The original never
+//!    changes during a job, so each worker thread runs it once per input
+//!    and reuses its outputs for every later candidate (the VM is
+//!    deterministic, so the reused output is the one a re-run would
+//!    print); only the candidate runs per verify,
 //! 5. re-profiles and loops (up to [`FleetOptions::rounds`] rounds), and
 //! 6. reports before/after drag integrals plus the per-site attempt log.
 //!
@@ -25,7 +30,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use heapdrag_core::analyzer::DragReport;
-use heapdrag_core::codec::LogFormat;
 use heapdrag_core::pattern::TransformKind;
 use heapdrag_core::profiler::{profile, ProfileRun};
 use heapdrag_core::serve::WorkerPool;
@@ -81,10 +85,8 @@ pub struct FleetOptions {
     pub rounds: usize,
     /// Worker threads in the fleet's pool (jobs run concurrently).
     pub pool_workers: usize,
-    /// Shard count for the ranking pipeline (report is shard-invariant).
+    /// Shard count for the ranking analysis (report is shard-invariant).
     pub shards: usize,
-    /// Chunk granularity for the ranking pipeline.
-    pub chunk_records: usize,
     /// Site-walk tuning passed through to the optimizer.
     pub optimizer: OptimizerOptions,
     /// Dispatch loop for the profiling runs.
@@ -106,7 +108,6 @@ impl Default for FleetOptions {
             rounds: 3,
             pool_workers: 4,
             shards: 1,
-            chunk_records: 8192,
             optimizer: OptimizerOptions::default(),
             interpreter: InterpreterKind::Fast,
             retain: None,
@@ -501,27 +502,15 @@ impl Scoreboard {
     }
 }
 
-/// Ranks allocation sites for one profiling run by streaming its trace
-/// through the `Pipeline` API: encode → (sharded) ingest → (sharded)
-/// analyze. The report is byte-identical at any shard count.
-fn ranked_report(
-    pipe: &Pipeline,
-    program: &Program,
-    run: &ProfileRun,
-) -> Result<DragReport, String> {
-    let mut bytes: Vec<u8> = Vec::new();
-    pipe.write_to(run, program, &mut bytes)
-        .map_err(|e| format!("encode trace: {e}"))?;
-    let ingested = pipe
-        .ingest_bytes(&bytes)
-        .map_err(|e| format!("ingest trace: {e}"))?;
-    let (mut report, _metrics) = pipe.analyze_records(&ingested.log.records, |ch| {
-        run.sites.innermost(ch)
-    });
-    // Retaining-path samples ride the same encoded trace; fold them onto
-    // the ranked report so the optimizer can anchor assign-null rewrites.
-    report.attach_retains(&ingested.log.retains);
-    Ok(report)
+/// Ranks allocation sites for one profiling run: the run's records go
+/// straight through the (sharded) `Pipeline` analyze stage, and its
+/// retaining-path samples are folded onto the report so the optimizer
+/// can anchor assign-null rewrites. The report is byte-identical at any
+/// shard count, and to one analyzed from the run's encoded trace.
+fn ranked_report(pipe: &Pipeline, run: &ProfileRun) -> DragReport {
+    let (mut report, _metrics) = pipe.analyze_records(&run.records, |ch| run.sites.innermost(ch));
+    report.attach_retains(&run.retains);
+    report
 }
 
 fn run_job(
@@ -538,10 +527,7 @@ fn run_job(
     let mut config = VmConfig::profiling();
     config.interpreter = options.interpreter;
     config.retain = options.retain;
-    let pipe = Pipeline::options()
-        .shards(options.shards)
-        .chunk_records(options.chunk_records)
-        .format(LogFormat::Binary);
+    let pipe = Pipeline::options().shards(options.shards);
 
     let mut score = JobScore::empty(workload.name, input_label);
     let mut program = original.clone();
@@ -553,13 +539,7 @@ fn run_job(
 
     for _ in 0..options.rounds.max(1) {
         score.rounds_run += 1;
-        let report = match ranked_report(&pipe, &program, &run) {
-            Ok(r) => r,
-            Err(e) => {
-                score.error = Some(e);
-                break;
-            }
-        };
+        let report = ranked_report(&pipe, &run);
         let total_drag = report.total_drag().max(1);
         let mut state = OptimizeState::default();
         let mut applied_this_round = 0usize;
@@ -614,7 +594,7 @@ fn run_job(
             }
         }
 
-        if applied_this_round == 0 || score.error.is_some() {
+        if applied_this_round == 0 {
             break;
         }
         // Re-profile the rewritten program: refreshes the stale pcs for

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! heapdrag run      <prog.hdasm> [input ints…]
-//! heapdrag profile  <prog.hdasm> -o <out.log> [--log-format text|binary] [--interval-kb N] [input ints…]
+//! heapdrag profile  <workload | prog.hdasm> -o <out.log> [--log-format text|binary] [--interval-kb N] [input ints…]
 //! heapdrag report   <log file | -> [--top N] [--shards N] [--chunk-records N]
 //! heapdrag timeline <prog.hdasm> [input ints…]
 //! heapdrag optimize <prog.hdasm> -o <out.hdasm> [input ints…]
@@ -69,7 +69,7 @@ use heapdrag::workloads::workload_by_name;
 const USAGE: &str = "usage:
   heapdrag run      <prog> [input ints...]
   heapdrag compile  <prog.hdj> -o <out.hdasm>
-  heapdrag profile  <prog> -o <out.log> [--log-format text|binary]
+  heapdrag profile  <workload | prog> -o <out.log> [--log-format text|binary]
                     [--interval-kb N] [--live-window <bytes>|unbounded]
                     [--retain-sample <rate>] [input ints...]
   heapdrag live     <workload | prog> [--window <bytes>|unbounded]
@@ -82,7 +82,7 @@ const USAGE: &str = "usage:
   heapdrag timeline <prog> [input ints...]
   heapdrag optimize <prog> -o <out.hdasm> [input ints...]
   heapdrag optimize-fleet [--workloads <a,b,...>] [--input default|alternate|both]
-                    [--rounds N] [--pool N] [--shards N] [--chunk-records N]
+                    [--rounds N] [--pool N] [--shards N]
                     [--json <path>] [--out-dir <dir>]
   heapdrag serve    [--spool <dir>] [--socket <path>] [--pool N] [--drivers N]
                     [--budget-chunks N] [--top N] (+ log ingestion flags)
@@ -145,7 +145,7 @@ optimize-fleet flags:
   --out-dir <dir>        write each verified optimized program as
                          <workload>-<input>.hdasm (rejected rewrites never
                          reach disk)
-  --shards/--chunk-records shard the per-job ranking pipeline; the
+  --shards <N>           shard the per-job ranking analysis; the
                          scoreboard is byte-identical at any setting
 
 serve flags:
@@ -647,6 +647,19 @@ fn load_program(path: &str) -> Result<Program, String> {
     Ok(program)
 }
 
+/// Resolves `<workload | prog> [input ints...]`: a workload name runs
+/// that benchmark on its default input (unless ints are given); anything
+/// else is a program path.
+fn program_and_input(positional: &[String]) -> Result<(Program, Vec<i64>), String> {
+    let target = positional.first().ok_or(USAGE)?;
+    let ints = &positional[1..];
+    match workload_by_name(target) {
+        Some(w) if ints.is_empty() => Ok((w.original(), (w.default_input)())),
+        Some(w) => Ok((w.original(), input_ints(ints)?)),
+        None => Ok((load_program(target)?, input_ints(ints)?)),
+    }
+}
+
 fn input_ints(args: &[String]) -> Result<Vec<i64>, String> {
     args.iter()
         .map(|a| a.parse().map_err(|_| format!("bad input int `{a}`")))
@@ -695,10 +708,8 @@ fn run_main() -> Result<(), String> {
             );
         }
         "profile" => {
-            let prog_path = args.positional.first().ok_or(USAGE)?;
             let out = args.output.as_deref().ok_or("profile needs -o <log>")?;
-            let program = load_program(prog_path)?;
-            let input = input_ints(&args.positional[1..])?;
+            let (program, input) = program_and_input(&args.positional)?;
             let run = if let Some(window) = args.live_window {
                 // One-shot live mode: snapshots while the VM runs, then
                 // the same log bytes the file-logging profiler writes
@@ -763,20 +774,7 @@ fn run_main() -> Result<(), String> {
             );
         }
         "live" => {
-            let target = args.positional.first().ok_or(USAGE)?;
-            // A workload name runs that benchmark on its default input
-            // (unless ints are given); anything else is a program path.
-            let (program, input) = match workload_by_name(target) {
-                Some(w) => {
-                    let input = if args.positional.len() > 1 {
-                        input_ints(&args.positional[1..])?
-                    } else {
-                        (w.default_input)()
-                    };
-                    (w.original(), input)
-                }
-                None => (load_program(target)?, input_ints(&args.positional[1..])?),
-            };
+            let (program, input) = program_and_input(&args.positional)?;
             let options = live_options_for(&args, args.window.flatten());
             let mut sink = snapshot_sink(&args)?;
             let live = run_live(
@@ -916,7 +914,6 @@ fn run_main() -> Result<(), String> {
             let mut options = FleetOptions {
                 workloads: args.workloads.clone(),
                 shards: args.parallel.shards,
-                chunk_records: args.parallel.chunk_records,
                 interpreter: args.interpreter,
                 ..FleetOptions::default()
             };

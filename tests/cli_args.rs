@@ -139,3 +139,42 @@ fn run_reports_label_faults_as_one_line_errors_not_panics() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn run_reports_an_oversized_newarray_as_out_of_memory_not_an_abort() {
+    let dir = std::env::temp_dir().join(format!("heapdrag-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("huge.hdasm");
+    std::fs::write(
+        &path,
+        "method main static params=1 locals=1 {\n  push 4294967295\n  newarray\n  pop\n  ret\n}\nentry main\n",
+    )
+    .expect("writes");
+    let out = heapdrag(&["run", path.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_line(&out));
+    assert_eq!(
+        stderr_line(&out),
+        "heapdrag: uncaught exception: OutOfMemoryError"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_accepts_a_workload_name_like_live() {
+    let dir = std::env::temp_dir().join(format!("heapdrag-profile-name-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("j.log");
+    let log = log.to_str().expect("utf-8 path");
+    let out = heapdrag(&["profile", "jess", "-o", log]);
+    assert!(out.status.success(), "profile jess: {}", stderr_line(&out));
+    let report = heapdrag(&["report", log]);
+    assert!(report.status.success(), "report: {}", stderr_line(&report));
+    let live = heapdrag(&["live", "jess", "--window", "unbounded"]);
+    assert!(live.status.success(), "live jess: {}", stderr_line(&live));
+    assert!(!report.stdout.is_empty());
+    assert!(
+        live.stdout.starts_with(&report.stdout),
+        "the post-mortem report must be the live report's prefix"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

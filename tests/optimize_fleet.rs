@@ -9,8 +9,12 @@
 //!   disk (the `rejected-by-verify` leg, driven by an injected verifier);
 //! * the full nine-workload fleet reduces drag on at least three
 //!   workloads with every rewrite verified or rejected — the paper's
-//!   loop, closed mechanically.
+//!   loop, closed mechanically — and its both-input scoreboard matches
+//!   the committed golden byte for byte;
+//! * ranking from a run's in-memory records equals ranking from its
+//!   encoded and re-ingested trace.
 
+use heapdrag::core::{profile, LogFormat, Pipeline, ProgramNamer, ReportSections, VmConfig};
 use heapdrag::fleet::{optimize_fleet, FleetOptions, InputSelection, Scoreboard};
 use heapdrag::transform::{Equivalence, RewriteOutcome};
 use heapdrag::vm::error::VmError;
@@ -263,4 +267,60 @@ fn full_fleet_reduces_drag_with_every_rewrite_verified() {
         )),
         "{snapshot}"
     );
+}
+
+#[test]
+fn full_fleet_on_both_inputs_matches_the_golden_scoreboard() {
+    let board = fleet(&[], 2, 2, InputSelection::Both);
+    assert_eq!(
+        board.render_text(),
+        include_str!("golden/optimize_fleet_full.txt"),
+        "the 18-job scoreboard moved"
+    );
+}
+
+/// The fleet ranks each profile from its in-memory records. That must
+/// equal ranking the same run after an encode → ingest round trip, for
+/// every job's baseline profile, with and without retain sampling.
+#[test]
+fn in_memory_ranking_equals_the_encoded_round_trip() {
+    for w in heapdrag::workloads::all_workloads() {
+        let program = w.original();
+        for (label, input) in [
+            ("default", (w.default_input)()),
+            ("alternate", (w.alternate_input)()),
+        ] {
+            for retain in [None, RetainConfig::from_rate(0.25)] {
+                let config = VmConfig {
+                    retain,
+                    ..VmConfig::profiling()
+                };
+                let run = profile(&program, &input, config).expect("profiles");
+                let namer = ProgramNamer {
+                    program: &program,
+                    sites: &run.sites,
+                };
+                let innermost = |ch| run.sites.innermost(ch);
+                for shards in [1, 4] {
+                    let pipe = Pipeline::options().shards(shards).format(LogFormat::Binary);
+                    let (mut direct, _) = pipe.analyze_records(&run.records, innermost);
+                    direct.attach_retains(&run.retains);
+
+                    let mut bytes = Vec::new();
+                    pipe.write_to(&run, &program, &mut bytes).expect("encodes");
+                    let log = pipe.ingest_bytes(&bytes).expect("ingests").log;
+                    let (mut round_trip, _) = pipe.analyze_records(&log.records, innermost);
+                    round_trip.attach_retains(&log.retains);
+
+                    let what = format!("{}/{label} retain={retain:?} shards={shards}", w.name);
+                    assert_eq!(direct, round_trip, "{what}");
+                    assert_eq!(
+                        ReportSections::standard(&direct, &namer).top(usize::MAX).render(),
+                        ReportSections::standard(&round_trip, &namer).top(usize::MAX).render(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
 }
