@@ -13,7 +13,9 @@
 #   5. a smoke run of the two-phase tool, sequential and sharded, checking
 #      that the sharded report is byte-identical to the sequential one
 #   6. a metrics smoke: both phases write --metrics-out snapshots and the
-#      jq-free metrics_check example verifies they reconcile exactly
+#      jq-free metrics_check example verifies they reconcile exactly; a
+#      finalizer-free workload's snapshot must show one full collection
+#      per deep GC
 #   7. a cross-format smoke: the same workload profiled to a text and to a
 #      binary (HDLOG v2) log must yield byte-identical reports, with the
 #      read side autodetecting the format, at every shard count
@@ -105,6 +107,16 @@ echo "== smoke: metrics reconciliation =="
 grep -q '^# TYPE heapdrag_objects_created_total counter' "$tmp/offline.prom"
 cargo run -q --release --example metrics_check -- \
     "$tmp/online.json" "$tmp/offline.json"
+# No class in jess declares a finalizer, so each deep GC is one census
+# collection.
+"$bin" profile jess -o "$tmp/jess.log" --metrics-out "$tmp/jess.json" > /dev/null
+counter() { grep -o "\"$1\": [0-9]*" "$2" | grep -o '[0-9]*$'; }
+full="$(counter vm_heap_gc_full_total "$tmp/jess.json")"
+deep="$(counter vm_deep_gc_total "$tmp/jess.json")"
+if [ -z "$deep" ] || [ "$deep" -eq 0 ] || [ "$full" != "$deep" ]; then
+    echo "jess: $full full collections for $deep deep GCs (want equal)" >&2
+    exit 1
+fi
 
 echo "== smoke: cross-format codec =="
 "$bin" profile examples/dragged.hdj -o "$tmp/smoke-bin.log" --log-format binary

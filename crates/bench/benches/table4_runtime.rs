@@ -114,6 +114,7 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
     let mut speedups = Vec::new();
+    let mut overheads = (0.0, 0.0);
     for w in all_workloads() {
         let input = (w.default_input)();
         let program = w.original();
@@ -148,19 +149,30 @@ fn main() {
         let fast_prof = timed(InterpreterKind::Fast, true);
         let speedup = ref_prof.as_secs_f64() / fast_prof.as_secs_f64();
         speedups.push(speedup);
+        let ref_ovh = ref_prof.as_secs_f64() / ref_plain.as_secs_f64();
+        let fast_ovh = fast_prof.as_secs_f64() / fast_plain.as_secs_f64();
+        overheads.0 += ref_ovh;
+        overheads.1 += fast_ovh;
         println!(
             "{:<10} {:>9} {:>9} {:>5.2}x {:>9} {:>9} {:>5.2}x {:>7.2}x",
             w.name,
             ref_plain.as_micros(),
             ref_prof.as_micros(),
-            ref_prof.as_secs_f64() / ref_plain.as_secs_f64(),
+            ref_ovh,
             fast_plain.as_micros(),
             fast_prof.as_micros(),
-            fast_prof.as_secs_f64() / fast_plain.as_secs_f64(),
+            fast_ovh,
             speedup,
         );
     }
     println!("{}", "-".repeat(74));
-    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
+    let n = speedups.len() as f64;
+    println!(
+        "{:<10} {:>25.2}x {:>25.2}x",
+        "average",
+        overheads.0 / n,
+        overheads.1 / n
+    );
+    let avg = speedups.iter().sum::<f64>() / n;
     println!("average profiled-run speedup from the fast interpreter: {avg:.2}x");
 }

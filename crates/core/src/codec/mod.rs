@@ -94,7 +94,7 @@ impl FromStr for LogFormat {
 /// table, one call per record and sample, the end marker last — so a trace
 /// streams straight to its writer without ever materialising in memory.
 /// [`TextSink`] and [`BinarySink`] implement the two formats;
-/// [`crate::log::write_log_to`] drives either from a
+/// [`crate::Pipeline::write_to`] drives either from a
 /// [`ProfileRun`](crate::profiler::ProfileRun).
 pub trait TraceSink {
     /// Writes the format preamble (text header line or binary magic).

@@ -41,12 +41,41 @@ pub const TEXT_HEADER: &str = "heapdrag-log v1";
 #[derive(Debug)]
 pub struct TextSink<W> {
     writer: W,
+    /// Reused `obj` line buffer: each record is one `write_all`.
+    line: Vec<u8>,
 }
 
 impl<W: Write> TextSink<W> {
     /// Wraps `writer` in a text-format sink.
     pub fn new(writer: W) -> Self {
-        TextSink { writer }
+        TextSink {
+            writer,
+            line: Vec::with_capacity(128),
+        }
+    }
+}
+
+/// Appends a space and the decimal digits of `v` to `line`.
+fn push_u64(line: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    line.push(b' ');
+    line.extend_from_slice(&digits[at..]);
+}
+
+/// [`push_u64`] for an optional field, `-` when absent.
+fn push_opt(line: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        Some(v) => push_u64(line, v),
+        None => line.extend_from_slice(b" -"),
     }
 }
 
@@ -60,19 +89,19 @@ impl<W: Write> TraceSink for TextSink<W> {
     }
 
     fn record(&mut self, r: &ObjectRecord) -> io::Result<()> {
-        writeln!(
-            self.writer,
-            "obj {} {} {} {} {} {} {} {} {}",
-            r.object.0,
-            r.class.0,
-            r.size,
-            r.created,
-            r.freed,
-            r.last_use.map_or("-".to_string(), |t| t.to_string()),
-            r.alloc_site.0,
-            r.last_use_site.map_or("-".to_string(), |c| c.0.to_string()),
-            r.at_exit as u8,
-        )
+        let line = &mut self.line;
+        line.clear();
+        line.extend_from_slice(b"obj");
+        push_u64(line, r.object.0);
+        push_u64(line, r.class.0.into());
+        push_u64(line, r.size);
+        push_u64(line, r.created);
+        push_u64(line, r.freed);
+        push_opt(line, r.last_use);
+        push_u64(line, r.alloc_site.0.into());
+        push_opt(line, r.last_use_site.map(|c| c.0.into()));
+        line.extend_from_slice(if r.at_exit { b" 1\n" } else { b" 0\n" });
+        self.writer.write_all(line)
     }
 
     fn sample(&mut self, s: &GcSample) -> io::Result<()> {
@@ -701,6 +730,94 @@ mod tests {
                 ..record
             }
         );
+    }
+
+    /// The `obj` line spelled with `format!`: the oracle the byte-level
+    /// encoder must match.
+    fn obj_line_oracle(r: &ObjectRecord) -> String {
+        format!(
+            "obj {} {} {} {} {} {} {} {} {}\n",
+            r.object.0,
+            r.class.0,
+            r.size,
+            r.created,
+            r.freed,
+            r.last_use.map_or("-".to_string(), |t| t.to_string()),
+            r.alloc_site.0,
+            r.last_use_site.map_or("-".to_string(), |c| c.0.to_string()),
+            r.at_exit as u8,
+        )
+    }
+
+    #[test]
+    fn obj_lines_match_the_format_oracle_at_field_bounds() {
+        let base = ObjectRecord {
+            object: ObjectId(17),
+            class: ClassId(8),
+            size: 816,
+            created: 1024,
+            freed: 204800,
+            last_use: Some(2048),
+            alloc_site: ChainId(3),
+            last_use_site: Some(ChainId(5)),
+            at_exit: false,
+        };
+        let mut records = Vec::new();
+        // Every digit-count boundary a hand-rolled formatter can miss.
+        for v in [0, 1, 9, 10, 99_999, 100_000, u64::MAX] {
+            records.push(ObjectRecord { object: ObjectId(v), ..base });
+            records.push(ObjectRecord { size: v, ..base });
+            records.push(ObjectRecord { created: v, ..base });
+            records.push(ObjectRecord { freed: v, ..base });
+            records.push(ObjectRecord { last_use: Some(v), ..base });
+        }
+        for v in [0, 1, 9, 10, 99_999, u32::MAX] {
+            records.push(ObjectRecord { class: ClassId(v), ..base });
+            records.push(ObjectRecord { alloc_site: ChainId(v), ..base });
+            records.push(ObjectRecord { last_use_site: Some(ChainId(v)), ..base });
+        }
+        records.push(ObjectRecord { last_use: None, last_use_site: None, ..base });
+        records.push(ObjectRecord {
+            object: ObjectId(u64::MAX),
+            class: ClassId(u32::MAX),
+            size: u64::MAX,
+            created: u64::MAX,
+            freed: u64::MAX,
+            last_use: Some(u64::MAX),
+            alloc_site: ChainId(u32::MAX),
+            last_use_site: Some(ChainId(u32::MAX)),
+            at_exit: true,
+        });
+        let flipped: Vec<ObjectRecord> = records
+            .iter()
+            .map(|r| ObjectRecord { at_exit: !r.at_exit, ..*r })
+            .collect();
+        records.extend(flipped);
+
+        let mut buf = Vec::new();
+        let mut sink = TextSink::new(&mut buf);
+        sink.begin().unwrap();
+        for r in &records {
+            sink.record(r).unwrap();
+        }
+        sink.end(0).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let want: String = std::iter::once(format!("{TEXT_HEADER}\n"))
+            .chain(records.iter().map(obj_line_oracle))
+            .chain(std::iter::once("end 0\n".to_string()))
+            .collect();
+        assert_eq!(text, want);
+
+        let s = scan(&text, false, 8192);
+        assert!(s.errors.is_empty(), "{:?}", s.errors);
+        let decoded: Vec<ObjectRecord> = batch_outs(&s, false)
+            .into_iter()
+            .flat_map(|out| {
+                assert!(out.errors.is_empty(), "{:?}", out.errors);
+                out.records
+            })
+            .collect();
+        assert_eq!(decoded, records);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub use live::{run_live, LiveOptions, LiveRun};
 pub use histogram::{Buckets, LifetimeHistogram};
 pub use integrals::Integrals;
 #[allow(deprecated)]
-pub use log::{ingest_log, parse_log, parse_log_sharded, write_log, write_log_binary, write_log_to};
+pub use log::{ingest_log, parse_log, parse_log_sharded};
 pub use log::{
     ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };

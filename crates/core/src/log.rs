@@ -12,10 +12,10 @@
 //!
 //! Every ingest entry point autodetects the format from the input's first
 //! bytes ([`LogFormat::detect`]); the write path picks a format explicitly
-//! ([`write_log_to`]). The end-of-log marker (the text `end` directive /
-//! the binary end frame) is written **last** by the profiler's exit path,
-//! so its presence certifies the log complete: a log without it was torn
-//! mid-write by a crash, a kill, or a full disk.
+//! ([`crate::Pipeline::write_to`]). The end-of-log marker (the text `end`
+//! directive / the binary end frame) is written **last** by the profiler's
+//! exit path, so its presence certifies the log complete: a log without it
+//! was torn mid-write by a crash, a kill, or a full disk.
 //!
 //! # Fault-tolerant ingestion
 //!
@@ -487,35 +487,17 @@ pub struct Ingested {
     pub metrics: ParallelMetrics,
 }
 
-/// Streams a profiling run (phase-1 output) to `writer` in the chosen
-/// format, returning the number of bytes written.
+/// The write engine behind [`crate::Pipeline::write_to`] and
+/// [`ProfileRun::write_log_to`]: streams a profiling run (phase-1 output)
+/// to `writer` in `format`, returning the number of bytes written.
 ///
 /// The trace is driven event by event through a [`TraceSink`] — header,
 /// chain table, records, samples, end marker last — so nothing is buffered
-/// beyond the writer's own buffering; pair with a
-/// [`std::io::BufWriter`] for file output. The end marker written last is
-/// what certifies the log complete, and its absence tells the salvage
-/// parser the run was cut short.
-///
-/// Chain names are whitespace-normalized at write time, which is what
-/// makes the text and binary encodings of the same run decode to identical
-/// [`ParsedLog`]s.
-///
-/// # Errors
-///
-/// Propagates writer I/O errors.
-#[deprecated(note = "use `Pipeline::options().format(..).write_to(run, program, writer)`")]
-pub fn write_log_to<W: io::Write>(
-    run: &ProfileRun,
-    program: &Program,
-    format: LogFormat,
-    writer: W,
-) -> io::Result<u64> {
-    write_run_to(run, program, format, writer)
-}
-
-/// The write engine behind [`crate::Pipeline::write_to`] and the
-/// deprecated `write_log*` wrappers.
+/// beyond the writer's own buffering. The end marker written last is what
+/// certifies the log complete, and its absence tells the salvage parser
+/// the run was cut short. Chain names are whitespace-normalized at write
+/// time, which is what makes the text and binary encodings of the same
+/// run decode to identical [`ParsedLog`]s.
 pub(crate) fn write_run_to<W: io::Write>(
     run: &ProfileRun,
     program: &Program,
@@ -561,29 +543,6 @@ fn drive_sink<S: TraceSink>(
         sink.retain(r)?;
     }
     sink.end(run.outcome.end_time)
-}
-
-/// Serialises a profiling run as a text log in one `String` — a thin
-/// wrapper for callers and tests that want the historical
-/// buffer-returning shape.
-#[deprecated(note = "use `Pipeline::options().write_to(run, program, &mut buf)`")]
-pub fn write_log(run: &ProfileRun, program: &Program) -> String {
-    let mut buf = Vec::new();
-    write_run_to(run, program, LogFormat::Text, &mut buf)
-        .expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("the text codec emits UTF-8")
-}
-
-/// Serialises a profiling run as an HDLOG v2 binary log in one `Vec` —
-/// the binary sibling of [`write_log`].
-#[deprecated(
-    note = "use `Pipeline::options().format(LogFormat::Binary).write_to(run, program, &mut buf)`"
-)]
-pub fn write_log_binary(run: &ProfileRun, program: &Program) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_run_to(run, program, LogFormat::Binary, &mut buf)
-        .expect("writing to a Vec cannot fail");
-    buf
 }
 
 /// Parses a phase-1 log (phase-2 input), strictly and sequentially — the

@@ -5,8 +5,8 @@
 //! `parse_log_sharded`, `ingest_log`, `write_log`, `write_log_binary`,
 //! `write_log_to`, and `DragAnalyzer::analyze_sharded` — each hard-wiring
 //! one combination of format, shard count, and fault policy. [`Pipeline`]
-//! replaces them all (the free functions survive as thin deprecated
-//! wrappers):
+//! replaces them all. The three encode-side functions are gone; the
+//! others survive as thin deprecated wrappers:
 //!
 //! ```
 //! use heapdrag_core::{Pipeline, LogFormat};
@@ -519,8 +519,9 @@ impl Pipeline {
     }
 
     /// Streams a profiling run to `writer` in the builder's
-    /// [`format`](Self::format), returning the bytes written — the
-    /// historical `write_log_to`/`write_log`/`write_log_binary`.
+    /// [`format`](Self::format), returning the bytes written. Nothing is
+    /// buffered beyond the writer's own buffering; pair with a
+    /// [`std::io::BufWriter`] for file output.
     ///
     /// # Errors
     ///

@@ -1,7 +1,6 @@
-//! The on-line phase: a [`HeapObserver`] that maintains object trailers and
-//! emits [`ObjectRecord`]s as objects die.
-
-use std::collections::HashMap;
+//! The on-line phase: a [`HeapObserver`] that keeps one trailer
+//! ([`ObjectRecord`]) per object, updated on every use and finished when
+//! the object dies.
 
 use heapdrag_obs::{Counter, Gauge, Registry};
 use heapdrag_vm::error::VmError;
@@ -15,12 +14,6 @@ use heapdrag_vm::program::Program;
 use heapdrag_vm::site::SiteTable;
 
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
-
-/// The live trailer attached to every object during the run.
-#[derive(Debug, Clone, Copy)]
-struct Trailer {
-    record: ObjectRecord,
-}
 
 /// Metric handles for the on-line phase.
 ///
@@ -69,13 +62,22 @@ impl ProfilerMetrics {
     }
 }
 
+/// Marks an [`ObjectId`] with no live trailer in [`DragProfiler::slots`]:
+/// never allocated, pinned, or already freed.
+const NO_TRAILER: u32 = u32::MAX;
+
 /// A drag profiler: attach to a [`Vm`] run (or use the
 /// [`profile`] convenience) and collect per-object records plus deep-GC
 /// samples.
+///
+/// Each object's record is pushed at allocation and doubles as its
+/// trailer. One heap issues ids in sequence, so the records come out in
+/// [`ObjectId`] order with no sort; `slots` maps an id to its record's
+/// position while the object lives.
 #[derive(Debug, Default)]
 pub struct DragProfiler {
-    live: HashMap<ObjectId, Trailer>,
     records: Vec<ObjectRecord>,
+    slots: Vec<u32>,
     samples: Vec<GcSample>,
     retains: Vec<RetainRecord>,
     end_time: u64,
@@ -97,17 +99,33 @@ impl DragProfiler {
     }
 
     /// Consumes the profiler, yielding records, samples, and retain
-    /// samples.
+    /// samples. Every record is finished once the run's exit event has
+    /// been delivered; before it, a live object's record still reads
+    /// `freed == created`.
     pub fn into_parts(self) -> (Vec<ObjectRecord>, Vec<GcSample>, Vec<RetainRecord>) {
         (self.records, self.samples, self.retains)
     }
 
-    /// Counts a finished record — the single bookkeeping point both
-    /// [`HeapObserver::on_free`] and the defensive exit flush go through, so
-    /// every object ends up in exactly one of reclaimed / at-exit.
-    fn note_record(&self, record: &ObjectRecord) {
+    /// The live trailer of `object`, if it has one. [`NO_TRAILER`] lies
+    /// past the end of `records`, so it resolves to `None` too.
+    fn trailer(&mut self, object: ObjectId) -> Option<&mut ObjectRecord> {
+        let pos = *self.slots.get(usize::try_from(object.0).ok()?)?;
+        self.records.get_mut(pos as usize)
+    }
+
+    /// Finishes the live trailer of `object` — the single bookkeeping
+    /// point both [`HeapObserver::on_free`] and the defensive exit flush
+    /// go through, so every object ends up in exactly one of reclaimed /
+    /// at-exit. Later events for the same id find no trailer.
+    fn finish(&mut self, object: ObjectId, time: u64, at_exit: bool) {
+        let Some(r) = self.trailer(object) else {
+            return;
+        };
+        r.freed = time;
+        r.at_exit = at_exit;
+        self.slots[object.0 as usize] = NO_TRAILER;
         if let Some(m) = &self.metrics {
-            if record.at_exit {
+            if at_exit {
                 m.at_exit.inc();
             } else {
                 m.reclaimed.inc();
@@ -123,31 +141,31 @@ impl HeapObserver for DragProfiler {
             m.alloc_bytes.add(event.size);
             m.ev_alloc.inc();
         }
-        self.live.insert(
-            event.object,
-            Trailer {
-                record: ObjectRecord {
-                    object: event.object,
-                    class: event.class,
-                    size: event.size,
-                    created: event.time,
-                    freed: event.time,
-                    last_use: None,
-                    alloc_site: event.site,
-                    last_use_site: None,
-                    at_exit: false,
-                },
-            },
-        );
+        let id = event.object.0 as usize;
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, NO_TRAILER);
+        }
+        self.slots[id] = u32::try_from(self.records.len()).expect("fewer than 2^32 objects");
+        self.records.push(ObjectRecord {
+            object: event.object,
+            class: event.class,
+            size: event.size,
+            created: event.time,
+            freed: event.time,
+            last_use: None,
+            alloc_site: event.site,
+            last_use_site: None,
+            at_exit: false,
+        });
     }
 
     fn on_use(&mut self, event: UseEvent) {
         if let Some(m) = &self.metrics {
             m.ev_use[event.kind as usize].inc();
         }
-        if let Some(t) = self.live.get_mut(&event.object) {
-            t.record.last_use = Some(event.time);
-            t.record.last_use_site = Some(event.site);
+        if let Some(r) = self.trailer(event.object) {
+            r.last_use = Some(event.time);
+            r.last_use_site = Some(event.site);
         }
     }
 
@@ -155,12 +173,7 @@ impl HeapObserver for DragProfiler {
         if let Some(m) = &self.metrics {
             m.ev_free.inc();
         }
-        if let Some(mut t) = self.live.remove(&event.object) {
-            t.record.freed = event.time;
-            t.record.at_exit = event.at_exit;
-            self.note_record(&t.record);
-            self.records.push(t.record);
-        }
+        self.finish(event.object, event.time, event.at_exit);
     }
 
     fn on_deep_gc(&mut self, event: GcEvent) {
@@ -181,9 +194,9 @@ impl HeapObserver for DragProfiler {
         }
         // The sampled object is alive (it survived the mark), so its
         // trailer resolves the allocation site.
-        if let Some(t) = self.live.get(&event.object) {
+        if let Some(alloc_site) = self.trailer(event.object).map(|r| r.alloc_site) {
             self.retains.push(RetainRecord {
-                alloc_site: t.record.alloc_site,
+                alloc_site,
                 size: event.size,
                 time: event.time,
                 depth: event.path.depth,
@@ -201,15 +214,13 @@ impl HeapObserver for DragProfiler {
         }
         // Any objects the VM did not report at exit (it normally reports
         // all survivors) are flushed defensively here.
-        let leftovers: Vec<ObjectId> = self.live.keys().copied().collect();
+        let leftovers: Vec<ObjectId> = (0..self.slots.len())
+            .filter(|&id| self.slots[id] != NO_TRAILER)
+            .map(|id| ObjectId(id as u64))
+            .collect();
         for id in leftovers {
-            let mut t = self.live.remove(&id).expect("key just listed");
-            t.record.freed = time;
-            t.record.at_exit = true;
-            self.note_record(&t.record);
-            self.records.push(t.record);
+            self.finish(id, time, true);
         }
-        self.records.sort_by_key(|r| r.object);
     }
 
     /// The trailer update is last-write-wins per object, so the fast
@@ -439,6 +450,64 @@ mod tests {
             snap.counters["vm_heap_alloc_bytes_total"],
             run.outcome.heap.allocated_bytes
         );
+    }
+
+    /// Drives a profiler by hand with events the VM never sends: ids
+    /// with gaps (pinned objects take ids too), uses, frees and retains
+    /// of unknown and already-freed ids, and a survivor the VM forgot to
+    /// report at exit.
+    #[test]
+    fn events_for_unknown_or_freed_objects_are_ignored() {
+        use heapdrag_vm::ids::{ChainId, ClassId};
+        use heapdrag_vm::retain::RetainPath;
+
+        let registry = Registry::new();
+        let mut p = DragProfiler::with_metrics(&registry);
+        let (class, site) = (ClassId(1), ChainId(2));
+        for (id, time) in [(0, 16), (2, 32), (3, 48), (7, 64)] {
+            p.on_alloc(AllocEvent::new(ObjectId(id), class, 16, time, site));
+        }
+        let used = |id, time| UseEvent::new(ObjectId(id), UseKind::GetField, time, ChainId(9));
+        let retain =
+            |id| RetainEvent::new(ObjectId(id), 16, 80, RetainPath::new("static S", 0, false));
+        p.on_use(used(2, 40));
+        p.on_free(FreeEvent::new(ObjectId(2), 70));
+        p.on_free(FreeEvent::new(ObjectId(0), 72));
+        // Already freed, never allocated (inside and past the table), and
+        // a pinned object's id.
+        for id in [2, 0, 5, 1, 1000, u64::MAX] {
+            p.on_use(used(id, 75));
+            p.on_free(FreeEvent::new(ObjectId(id), 76));
+            p.on_retain_sample(retain(id));
+        }
+        p.on_retain_sample(retain(3));
+        p.on_free(FreeEvent::new(ObjectId(3), 90).with_at_exit(true));
+        p.on_exit(90);
+        p.on_use(used(7, 95));
+        p.on_free(FreeEvent::new(ObjectId(7), 96));
+
+        let (records, _, retains) = p.into_parts();
+        let ids: Vec<u64> = records.iter().map(|r| r.object.0).collect();
+        assert_eq!(ids, [0, 2, 3, 7], "one record per object, in id order");
+        let by_id = |id| records.iter().find(|r| r.object.0 == id).unwrap();
+        assert_eq!(
+            (by_id(0).freed, by_id(0).last_use, by_id(0).at_exit),
+            (72, None, false)
+        );
+        assert_eq!((by_id(2).freed, by_id(2).last_use), (70, Some(40)));
+        assert_eq!(by_id(2).last_use_site, Some(ChainId(9)));
+        assert_eq!((by_id(3).freed, by_id(3).at_exit), (90, true));
+        assert_eq!(
+            (by_id(7).freed, by_id(7).last_use, by_id(7).at_exit),
+            (90, None, true)
+        );
+        assert_eq!(retains.len(), 1, "only the live object's sample is kept");
+        assert_eq!(retains[0].alloc_site, site);
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["heapdrag_objects_created_total"], 4);
+        assert_eq!(snap.counters["heapdrag_objects_reclaimed_total"], 2);
+        assert_eq!(snap.counters["heapdrag_objects_at_exit_total"], 2);
     }
 
     #[test]

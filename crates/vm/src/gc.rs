@@ -1,13 +1,19 @@
 //! Reachability-based garbage collection: full mark-sweep and an optional
 //! generational (nursery) mode.
 //!
-//! The profiler's *deep GC* (collect → run finalizers → collect) is
-//! orchestrated by the interpreter; this module provides the two collection
+//! The profiler's *deep GC* is orchestrated by the interpreter: one census
+//! collection when no class declares a finalizer, otherwise collect → run
+//! finalizers → census. This module provides the two collection
 //! primitives. Full collections also discover objects awaiting
 //! finalization: an unreachable, unfinalized object whose class declares a
 //! finalizer is resurrected (kept alive together with everything it
 //! references) and queued; the interpreter runs the finalizer and the *next*
-//! collection can reclaim it.
+//! collection can reclaim it. That scan runs only when some class declares
+//! a finalizer.
+//!
+//! Both collections walk the heap's slots in place.
+//! Mark bits are false between collections: a full sweep clears each
+//! survivor's bit, and a minor collection clears it on promotion.
 
 use std::time::{Duration, Instant};
 
@@ -99,21 +105,13 @@ fn collect_full_impl(
     mut sampler: Option<&mut RetainSampler>,
 ) -> CollectOutcome {
     let start = Instant::now();
-    let live = heap.live_handles();
-    for &h in &live {
-        if let Some(o) = heap.get_mut(h) {
-            o.marked = false;
-        }
-    }
-
+    // Every mark bit is false here: each sweep clears its survivors' bits.
     let mut worklist: Vec<Handle> = roots.to_vec();
-    for &h in &live {
-        if let Some(o) = heap.get(h) {
-            if o.pinned || o.finalize_pending {
-                worklist.push(h);
-            }
-        }
-    }
+    worklist.extend(
+        heap.iter()
+            .filter(|(_, o)| o.pinned || o.finalize_pending)
+            .map(|(h, _)| h),
+    );
     let mut traced = 0u64;
     match sampler.as_deref_mut() {
         Some(s) => {
@@ -129,21 +127,21 @@ fn collect_full_impl(
     // resurrection mark is never sampled: a finalizer-pending subgraph
     // is not *retained* by the mutator, so it has no retaining path.
     let mut pending = Vec::new();
-    for &h in &live {
-        let Some(o) = heap.get(h) else { continue };
-        let finalizable = program.classes[o.class.index()].finalizer.is_some();
-        if !o.marked && finalizable && !o.finalized && !o.finalize_pending {
-            pending.push(h);
-        }
-    }
-    if !pending.is_empty() {
-        let mut resurrect = Vec::new();
+    if program.has_finalizers() {
+        pending.extend(
+            heap.iter()
+                .filter(|(_, o)| {
+                    !o.marked
+                        && !o.finalized
+                        && !o.finalize_pending
+                        && program.classes[o.class.index()].finalizer.is_some()
+                })
+                .map(|(h, _)| h),
+        );
         for &h in &pending {
-            if let Some(o) = heap.get_mut(h) {
-                o.finalize_pending = true;
-            }
-            resurrect.push(h);
+            heap.get_mut(h).expect("live").finalize_pending = true;
         }
+        let mut resurrect = pending.clone();
         mark(heap, &mut resurrect, &mut traced);
     }
     heap.stats_mut().traced_objects += traced;
@@ -157,31 +155,31 @@ fn collect_full_impl(
         None => Vec::new(),
     };
 
-    // Sweep.
     let mut outcome = CollectOutcome {
         pending_finalizers: pending,
         retain_samples,
         ..CollectOutcome::default()
     };
-    for &h in &live {
-        let Some(o) = heap.get(h) else { continue };
+    heap.sweep(|o| {
         if o.marked {
+            o.marked = false;
             if !o.pinned {
                 outcome.reachable_bytes += o.size_bytes;
                 outcome.reachable_count += 1;
             }
             // Tenure every survivor: with no young objects left, clearing
             // the remembered set below cannot drop a live old-to-young edge.
-            heap.get_mut(h).expect("live").old = true;
+            o.old = true;
+            true
         } else {
             if !o.pinned {
                 on_free(o);
             }
             outcome.freed_bytes += o.size_bytes;
             outcome.freed_count += 1;
-            heap.free(h);
+            false
         }
-    }
+    });
     heap.stats_mut().full_collections += 1;
     heap.remembered.clear();
     outcome.elapsed = start.elapsed();
@@ -202,15 +200,6 @@ pub fn collect_minor(
     on_free: &mut dyn FnMut(&Object),
 ) -> MinorOutcome {
     let start = Instant::now();
-    let live = heap.live_handles();
-    for &h in &live {
-        if let Some(o) = heap.get_mut(h) {
-            if !o.old {
-                o.marked = false;
-            }
-        }
-    }
-
     let mut worklist: Vec<Handle> = roots.to_vec();
     // Remembered-set entries contribute their outgoing edges.
     let remembered = std::mem::take(&mut heap.remembered);
@@ -220,14 +209,17 @@ pub fn collect_minor(
         }
     }
     // Pinned or finalizable nursery objects survive unconditionally.
-    for &h in &live {
-        if let Some(o) = heap.get(h) {
-            let finalizable = program.classes[o.class.index()].finalizer.is_some();
-            if !o.old && (o.pinned || finalizable || o.finalize_pending) {
-                worklist.push(h);
-            }
-        }
-    }
+    let finalizers = program.has_finalizers();
+    worklist.extend(
+        heap.iter()
+            .filter(|(_, o)| {
+                !o.old
+                    && (o.pinned
+                        || o.finalize_pending
+                        || (finalizers && program.classes[o.class.index()].finalizer.is_some()))
+            })
+            .map(|(h, _)| h),
+    );
 
     let mut traced = 0u64;
     // Mark, skipping old objects entirely.
@@ -238,29 +230,29 @@ pub fn collect_minor(
         }
         o.marked = true;
         traced += 1;
-        let o = heap.get(h).expect("just marked");
         trace_children(o, &mut worklist);
     }
     heap.stats_mut().traced_objects += traced;
 
+    // Promotion clears the mark, so every bit is false again afterwards.
     let mut outcome = MinorOutcome::default();
-    for &h in &live {
-        let Some(o) = heap.get(h) else { continue };
+    heap.sweep(|o| {
         if o.old {
-            continue;
-        }
-        if o.marked {
+            true
+        } else if o.marked {
+            o.marked = false;
+            o.old = true;
             outcome.promoted += 1;
-            heap.get_mut(h).expect("live").old = true;
+            true
         } else {
             if !o.pinned {
                 on_free(o);
             }
             outcome.freed_bytes += o.size_bytes;
             outcome.freed_count += 1;
-            heap.free(h);
+            false
         }
-    }
+    });
     heap.stats_mut().minor_collections += 1;
     outcome.elapsed = start.elapsed();
     outcome
@@ -274,7 +266,6 @@ fn mark(heap: &mut Heap, worklist: &mut Vec<Handle>, traced: &mut u64) {
         }
         o.marked = true;
         *traced += 1;
-        let o = heap.get(h).expect("just marked");
         trace_children(o, worklist);
     }
 }
@@ -290,7 +281,6 @@ fn mark_traced(heap: &mut Heap, worklist: &mut Vec<Handle>, traced: &mut u64, s:
         o.marked = true;
         *traced += 1;
         s.draw(h);
-        let o = heap.get(h).expect("just marked");
         for (slot, value) in o.data.iter().enumerate() {
             if let Value::Ref(child) = value {
                 s.note_edge(*child, h, slot as u32);
@@ -370,8 +360,8 @@ mod tests {
         assert!(heap.get(reached).is_some());
     }
 
-    #[test]
-    fn finalizable_objects_are_resurrected_once() {
+    /// A program with one finalizable class, returned with that class.
+    fn finalizable_program() -> (Program, ClassId) {
         let mut p = Program::empty();
         let mut fin = crate::class::Method::new("finalize", 1, 1);
         fin.is_static = false;
@@ -389,7 +379,16 @@ mod tests {
         p.methods.push(main);
         p.entry = crate::ids::MethodId(1);
         p.link().unwrap();
+        (p, cid)
+    }
 
+    fn no_marks(heap: &Heap) -> bool {
+        heap.iter().all(|(_, o)| !o.marked)
+    }
+
+    #[test]
+    fn finalizable_objects_are_resurrected_once() {
+        let (p, cid) = finalizable_program();
         let mut heap = Heap::new();
         let f = heap.alloc(cid, 0, false, false);
         let mut freed = 0;
@@ -446,5 +445,105 @@ mod tests {
         // (barrier "forgot" to record it)
         let outcome = collect_minor(&mut heap, &p, &[], &mut |_| {});
         assert_eq!(outcome.freed_count, 1, "demonstrates the barrier is load-bearing");
+    }
+
+    #[test]
+    fn full_collections_leave_every_mark_bit_clear() {
+        let p = test_program();
+        let c = plain_class(&p);
+        let mut heap = Heap::new();
+        let root = heap.alloc(c, 2, false, false);
+        let child = heap.alloc(c, 1, false, false);
+        let pinned = heap.alloc(c, 1, false, true);
+        heap.get_mut(root).unwrap().data[0] = Value::Ref(child);
+        heap.get_mut(child).unwrap().data[0] = Value::Ref(root);
+        heap.get_mut(pinned).unwrap().data[0] = Value::Ref(child);
+        heap.alloc(c, 0, false, false);
+        let outcome = collect_full(&mut heap, &p, &[root], &mut |_| {});
+        assert_eq!(outcome.freed_count, 1);
+        assert!(no_marks(&heap));
+
+        heap.alloc(c, 0, false, false);
+        let config = crate::retain::RetainConfig::from_rate(1.0).unwrap();
+        let mut sampler = RetainSampler::new(config, config.seed, Default::default());
+        let outcome =
+            collect_full_traced(&mut heap, &p, &[root], &mut |_| {}, &mut sampler);
+        assert_eq!(outcome.freed_count, 1);
+        assert!(!outcome.retain_samples.is_empty(), "rate 1 samples survivors");
+        assert!(no_marks(&heap));
+
+        // A second collection from the same roots marks the same set and
+        // frees nothing: no bit left over from the first one hides an object.
+        let again = collect_full(&mut heap, &p, &[root], &mut |_| {});
+        assert_eq!(again.freed_count, 0);
+        assert_eq!(again.reachable_count, outcome.reachable_count);
+        assert!(no_marks(&heap));
+    }
+
+    #[test]
+    fn mixed_minor_and_full_collections_leave_every_mark_bit_clear() {
+        let p = test_program();
+        let c = plain_class(&p);
+        let mut heap = Heap::new();
+        let old = heap.alloc(c, 2, false, false);
+        heap.alloc(c, 0, false, true);
+        let young = heap.alloc(c, 1, false, false);
+        heap.alloc(c, 0, false, false);
+        let outcome = collect_minor(&mut heap, &p, &[old, young], &mut |_| {});
+        assert_eq!((outcome.promoted, outcome.freed_count), (3, 1));
+        assert!(no_marks(&heap));
+
+        // An old-to-young edge through the remembered set.
+        let kept = heap.alloc(c, 0, false, false);
+        heap.get_mut(old).unwrap().data[0] = Value::Ref(kept);
+        heap.remembered.push(old);
+        heap.alloc(c, 0, false, false);
+        let outcome = collect_minor(&mut heap, &p, &[], &mut |_| {});
+        assert_eq!((outcome.promoted, outcome.freed_count), (1, 1));
+        assert!(no_marks(&heap));
+
+        // A full collection reclaims the unrooted old object; the next
+        // minor then sees only the new nursery.
+        heap.get_mut(old).unwrap().data[1] = Value::Ref(young);
+        let full = collect_full(&mut heap, &p, &[young], &mut |_| {});
+        assert_eq!(full.freed_count, 2, "old and its referent die");
+        assert!(no_marks(&heap));
+        let fresh = heap.alloc(c, 0, false, false);
+        heap.alloc(c, 0, false, false);
+        let outcome = collect_minor(&mut heap, &p, &[fresh], &mut |_| {});
+        assert_eq!((outcome.promoted, outcome.freed_count), (1, 1));
+        assert!(no_marks(&heap));
+        let full = collect_full(&mut heap, &p, &[young, fresh], &mut |_| {});
+        assert_eq!(full.freed_count, 0);
+        assert!(no_marks(&heap));
+    }
+
+    #[test]
+    fn resurrection_leaves_every_mark_bit_clear() {
+        let (p, cid) = finalizable_program();
+        let c = plain_class(&p);
+        let mut heap = Heap::new();
+        let f = heap.alloc(cid, 0, false, false);
+        let mut fields = heap.alloc(c, 1, false, false);
+        heap.get_mut(fields).unwrap().data[0] = Value::Ref(f);
+        // `f` is reachable only from garbage: resurrected with nothing
+        // else, while `fields` is freed.
+        let outcome = collect_full(&mut heap, &p, &[], &mut |_| {});
+        assert_eq!(outcome.pending_finalizers, vec![f]);
+        assert_eq!(outcome.freed_count, 1);
+        assert!(no_marks(&heap));
+
+        // A resurrected object's referents survive with it.
+        fields = heap.alloc(c, 0, false, false);
+        let g = heap.alloc(cid, 1, false, false);
+        heap.get_mut(g).unwrap().data[0] = Value::Ref(fields);
+        let outcome = collect_full(&mut heap, &p, &[], &mut |_| {});
+        assert_eq!(outcome.pending_finalizers, vec![g]);
+        assert_eq!(outcome.freed_count, 0);
+        assert!(heap.get(fields).is_some());
+        assert!(no_marks(&heap));
+        let outcome = collect_minor(&mut heap, &p, &[], &mut |_| {});
+        assert_eq!(outcome.freed_count, 0);
+        assert!(no_marks(&heap));
     }
 }

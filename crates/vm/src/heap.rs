@@ -329,9 +329,21 @@ impl Heap {
         })
     }
 
-    /// Handles of all live objects (used by the collector).
-    pub(crate) fn live_handles(&self) -> Vec<Handle> {
-        self.iter().map(|(h, _)| h).collect()
+    /// Walks every live object in slot order and frees each one `keep`
+    /// returns `false` for — the collector's sweep. `keep` sees the object
+    /// mutably (to clear its mark) and before it is freed (to report it).
+    pub(crate) fn sweep(&mut self, mut keep: impl FnMut(&mut Object) -> bool) {
+        for index in 0..self.slots.len() {
+            let slot = &mut self.slots[index];
+            let Some(object) = slot.object.as_mut() else { continue };
+            if !keep(object) {
+                let handle = Handle {
+                    index: index as u32,
+                    generation: slot.generation,
+                };
+                self.free(handle);
+            }
+        }
     }
 }
 

@@ -38,9 +38,11 @@ pub enum InterpreterKind {
 /// Tuning knobs for a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmConfig {
-    /// Trigger a *deep GC* (collect, run finalizers, collect, sample) every
-    /// this many allocated bytes — the paper uses 100 KB. `None` disables
-    /// periodic deep GCs (plain execution).
+    /// Trigger a *deep GC* every this many allocated bytes — the paper
+    /// uses 100 KB. A deep GC is one census collection (free, sample);
+    /// a program that declares a finalizer first collects and runs the
+    /// finalizers it queued. `None` disables periodic deep GCs (plain
+    /// execution).
     pub deep_gc_interval: Option<u64>,
     /// Hard heap limit; exceeding it after a forced collection throws
     /// `OutOfMemoryError` into the program.
@@ -586,33 +588,39 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Deep GC: collect, run pending finalizers, collect again, sample.
+    /// Deep GC: one census collection that frees, samples retaining paths
+    /// and feeds the [`GcEvent`]. A program that declares a finalizer
+    /// first collects and runs the finalizers it queued, so the census
+    /// reclaims their objects. Without one, a first collection would mark
+    /// the same set from the same roots and the census would free nothing.
     fn deep_gc(&mut self, observer: &mut dyn HeapObserver) -> Result<(), VmError> {
         if self.in_deep_gc {
             return Ok(());
         }
         self.in_deep_gc = true;
-        let first = self.full_gc(observer);
-        for handle in first.pending_finalizers {
-            let Some(obj) = self.heap.get_mut(handle) else {
-                continue;
-            };
-            obj.finalize_pending = false;
-            obj.finalized = true;
-            let class = obj.class;
-            if let Some(fin) = self.program.classes[class.index()].finalizer {
-                self.run_nested(fin, vec![Value::Ref(handle)], observer)?;
+        if self.program.has_finalizers() {
+            let first = self.full_gc(observer);
+            for handle in first.pending_finalizers {
+                let Some(obj) = self.heap.get_mut(handle) else {
+                    continue;
+                };
+                obj.finalize_pending = false;
+                obj.finalized = true;
+                let class = obj.class;
+                if let Some(fin) = self.program.classes[class.index()].finalizer {
+                    self.run_nested(fin, vec![Value::Ref(handle)], observer)?;
+                }
             }
         }
-        let second = self.full_gc_inner(observer, true);
+        let census = self.full_gc_inner(observer, true);
         self.deep_gcs += 1;
         if let Some(metrics) = &self.metrics {
             metrics.on_deep_gc();
         }
         observer.on_deep_gc(GcEvent {
             time: self.heap.clock(),
-            reachable_bytes: second.reachable_bytes,
-            reachable_count: second.reachable_count,
+            reachable_bytes: census.reachable_bytes,
+            reachable_count: census.reachable_count,
         });
         self.in_deep_gc = false;
         Ok(())

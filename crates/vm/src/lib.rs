@@ -17,9 +17,10 @@
 //!   (getfield, putfield, invoke, monitor enter/exit, handle dereference),
 //!   every reclamation, and every deep-GC sample is reported to an attached
 //!   [`observer::HeapObserver`];
-//! * **deep GCs** (collect → run finalizers → collect) run every N bytes of
-//!   allocation (the paper uses 100 KB — see
-//!   [`interp::VmConfig::profiling`]).
+//! * **deep GCs** run every N bytes of allocation (the paper uses 100 KB —
+//!   see [`interp::VmConfig::profiling`]): one census collection, preceded
+//!   by a collection and the queued finalizers when the program declares a
+//!   finalizer.
 //!
 //! Programs are built with [`builder::ProgramBuilder`] or parsed from the
 //! textual [`asm`] format, and run with [`interp::Vm`]:

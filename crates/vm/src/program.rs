@@ -362,6 +362,13 @@ impl Program {
         m.qualified_name(m.class.map(|c| self.classes[c.index()].name.as_str()))
     }
 
+    /// True if any class declares a finalizer. Without one, no collection
+    /// can queue or resurrect an object, so a deep GC needs only its
+    /// census collection.
+    pub fn has_finalizers(&self) -> bool {
+        self.classes.iter().any(|c| c.finalizer.is_some())
+    }
+
     /// Total static count of instructions across all methods — the stand-in
     /// for the paper's "source code statements" column of Table 1.
     pub fn code_size(&self) -> usize {
