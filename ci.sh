@@ -21,7 +21,10 @@
 #      read side autodetecting the format, at every shard count
 #   8. a streaming smoke: a synthesized ~12 MB trace piped through stdin
 #      (`analyze -`) must render byte-identical to the file-path report,
-#      and the binary smoke log must autodetect through a pipe too
+#      and the binary smoke log must autodetect through a pipe too; the
+#      text smoke log re-spelled with doubled spaces and tab separators
+#      (which the byte-level fast decoder hands to the field-by-field
+#      fallback) must render byte-identical to the canonical one
 #   9. a salvage smoke: generated logs of both formats truncated at three
 #      offsets must fail strict parsing with a stable E0xx code, succeed
 #      under --salvage, and render footers byte-identical to the
@@ -156,6 +159,19 @@ awk 'BEGIN {
 diff -u "$tmp/big-file.txt" "$tmp/big-stdin.txt"
 "$bin" analyze - --top 5 < "$tmp/smoke-bin.log" > "$tmp/stdin-bin.txt"
 diff -u "$tmp/report-bin.txt" "$tmp/stdin-bin.txt"
+# Off the canonical spelling, every record line takes the fallback
+# decoder: doubled spaces on odd lines, tabs on even ones.
+awk 'NR > 1 && /^(obj|gc|end) / { gsub(/ /, NR % 2 ? "  " : "\t") } 1' \
+    "$tmp/smoke.log" > "$tmp/smoke-spaced.log"
+if cmp -s "$tmp/smoke.log" "$tmp/smoke-spaced.log"; then
+    echo "the re-spelled smoke log is identical to the canonical one" >&2
+    exit 1
+fi
+"$bin" report "$tmp/smoke-spaced.log" --top 5 > "$tmp/report-spaced.txt"
+diff -u "$tmp/report-text.txt" "$tmp/report-spaced.txt"
+"$bin" analyze - --top 5 --shards 4 --chunk-records 64 \
+    < "$tmp/smoke-spaced.log" > "$tmp/report-spaced-par.txt"
+diff -u "$tmp/report-text.txt" "$tmp/report-spaced-par.txt"
 
 echo "== smoke: salvage ingestion =="
 # Truncate the (deterministic) smoke logs — text and binary — at three

@@ -359,16 +359,93 @@ fn decode_retain(f: &RawFrame<'_>) -> Result<RetainRecord, LogError> {
     })
 }
 
-/// Decodes one chunk of `obj`/`gc`/`retain` frames: per-frame checksum verification
-/// first (`E011` on mismatch), then payload decoding. In strict mode the
-/// first bad frame ends the chunk; in salvage mode bad frames are dropped
-/// and counted, and decoding continues — framing is already settled, so a
-/// bad frame never takes its neighbours with it.
-pub(crate) fn parse_chunk(frames: &[RawFrame<'_>], chunk: usize, salvage: bool) -> ChunkOut {
-    let mut out = ChunkOut::default();
+/// Straight-line varint reads over one frame payload for the `obj` fast
+/// path. Every read returns `None` where [`Fields`] would report an error
+/// (an exhausted payload, a broken or overflowing varint).
+struct Varints<'a> {
+    payload: &'a [u8],
+    pos: usize,
+}
+
+impl Varints<'_> {
+    /// The next varint; a one-byte value is read inline.
+    fn next(&mut self) -> Option<u64> {
+        let byte = *self.payload.get(self.pos)?;
+        if byte < 0x80 {
+            self.pos += 1;
+            return Some(u64::from(byte));
+        }
+        let (v, used) = read_varint(&self.payload[self.pos..])?;
+        self.pos += used;
+        Some(v)
+    }
+
+    fn next_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.next()?).ok()
+    }
+
+    /// An optional field: presence flag `0`, or `1` and the value.
+    fn opt(&mut self) -> Option<Option<u64>> {
+        match self.next()? {
+            0 => Some(None),
+            1 => self.next().map(Some),
+            _ => None,
+        }
+    }
+}
+
+/// The fast path for one checksum-verified `obj` payload. `None` for any
+/// payload [`decode_obj`] would reject; that decoder then runs and stays
+/// the only source of errors. Whenever this returns a record,
+/// [`decode_obj`] returns the same one.
+fn decode_obj_fast(payload: &[u8]) -> Option<ObjectRecord> {
+    let mut p = Varints { payload, pos: 0 };
+    let object = ObjectId(p.next()?);
+    let class = ClassId(p.next_u32()?);
+    let size = p.next()?;
+    let created = p.next()?;
+    let freed = created.wrapping_add(p.next()?);
+    let last_use = p.opt()?.map(|d| created.wrapping_add(d));
+    let alloc_site = ChainId(p.next_u32()?);
+    let last_use_site = match p.opt()? {
+        None => None,
+        Some(v) => Some(ChainId(u32::try_from(v).ok()?)),
+    };
+    let at_exit = p.next()? != 0;
+    (p.pos == payload.len()).then_some(ObjectRecord {
+        object,
+        class,
+        size,
+        created,
+        freed,
+        last_use,
+        alloc_site,
+        last_use_site,
+        at_exit,
+    })
+}
+
+/// Decodes one chunk of `obj`/`gc`/`retain` frames: per-frame checksum
+/// verification first (`E011` on mismatch), then payload decoding, with
+/// `obj` payloads trying [`decode_obj_fast`] before the checked decoder.
+/// In strict mode the first bad frame ends the chunk; in salvage mode bad
+/// frames are dropped and counted, and decoding continues — framing is
+/// already settled, so a bad frame never takes its neighbours with it.
+pub(crate) fn parse_chunk<'a>(
+    frames: impl ExactSizeIterator<Item = RawFrame<'a>>,
+    chunk: usize,
+    salvage: bool,
+) -> ChunkOut {
+    let mut out = ChunkOut {
+        records: Vec::with_capacity(frames.len()),
+        ..ChunkOut::default()
+    };
     for f in frames {
+        let f = &f;
         let result = f.verify().and_then(|()| match f.tag {
-            TAG_OBJ => decode_obj(f).map(|r| out.records.push(r)),
+            TAG_OBJ => decode_obj_fast(f.payload)
+                .map_or_else(|| decode_obj(f), Ok)
+                .map(|r| out.records.push(r)),
             TAG_GC => decode_gc(f).map(|s| out.samples.push(s)),
             TAG_RETAIN => decode_retain(f).map(|r| out.retains.push(r)),
             tag => unreachable!("chunked frame {} is not obj/gc/retain: {tag:#04x}", f.frame),
@@ -1294,6 +1371,97 @@ mod tests {
         // exceeds that input's length).
         let batch = scan(&input, true, 8192);
         assert_eq!(batch.errors.last().unwrap(), e);
+    }
+
+    /// One seeded edit of an `obj` payload: a testkit payload-byte flip,
+    /// or a splice at the varint grammar's edges (continuation bytes, an
+    /// overflowing varint, bad presence flags, a short or long payload).
+    fn mutate_payload(payload: &[u8], rng: &mut heapdrag_testkit::Rng) -> Vec<u8> {
+        use heapdrag_testkit::{complete_frames, inject_binary, BinaryFault};
+        const BYTES: [u8; 6] = [0x00, 0x01, 0x02, 0x7f, 0x80, 0xff];
+        let mut p = payload.to_vec();
+        match rng.range_u32(0, 5) {
+            0 => {
+                // Frame the payload, flip a byte in it, and unframe it.
+                let mut log = MAGIC.to_vec();
+                log.push(TAG_OBJ);
+                write_varint(&mut log, p.len() as u64);
+                log.extend_from_slice(&p);
+                log.extend_from_slice(&frame_checksum(TAG_OBJ, &p).to_le_bytes());
+                let (flipped, _) = inject_binary(&log, BinaryFault::FlipPayloadByte, rng);
+                if let Some(&(start, end, _)) = complete_frames(&flipped).first() {
+                    let header = end - start - 2 - p.len();
+                    p = flipped[start + header..end - 2].to_vec();
+                }
+            }
+            1 => {
+                let i = rng.range_usize(0, p.len() + 1);
+                p.insert(i, *rng.choose(&BYTES));
+            }
+            2 if !p.is_empty() => {
+                let i = rng.range_usize(0, p.len());
+                p[i] = *rng.choose(&BYTES);
+            }
+            3 if !p.is_empty() => {
+                p.truncate(rng.range_usize(0, p.len()));
+            }
+            _ => {
+                // An eleven-byte varint: overflows a u64.
+                let i = rng.range_usize(0, p.len() + 1);
+                let mut over = vec![0x80u8; 10];
+                over.push(0x01);
+                p.splice(i..i, over);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn obj_fast_path_never_disagrees_with_the_checked_decoder() {
+        use std::cell::Cell;
+        let (fast_hits, fallbacks) = (Cell::new(0u32), Cell::new(0u32));
+        heapdrag_testkit::check("binary obj fast path", 512, |rng| {
+            let record = crate::codec::tests::random_record(rng);
+            let mut log = Vec::new();
+            {
+                let mut sink = BinarySink::new(&mut log);
+                sink.begin().unwrap();
+                sink.record(&record).unwrap();
+            }
+            let frame = scan(&log, false, 8192).chunks.pop().map(|c| match c {
+                Chunk::Frames(frames) => frames[0],
+                Chunk::Lines(_) => unreachable!(),
+            });
+            let clean = frame.expect("one obj frame").payload.to_vec();
+            assert_eq!(decode_obj_fast(&clean), Some(record));
+
+            let mut payload = clean;
+            for _ in 0..rng.range_u32(1, 4) {
+                payload = mutate_payload(&payload, rng);
+                let f = RawFrame {
+                    frame: 1,
+                    byte: 8,
+                    len: payload.len() as u64 + 4,
+                    tag: TAG_OBJ,
+                    payload: &payload,
+                    crc: 0,
+                };
+                match (decode_obj_fast(&payload), decode_obj(&f)) {
+                    (None, _) => fallbacks.set(fallbacks.get() + 1),
+                    (Some(fast), Ok(slow)) => {
+                        assert_eq!(fast, slow, "{payload:02x?}");
+                        fast_hits.set(fast_hits.get() + 1);
+                    }
+                    (Some(fast), Err(e)) => panic!(
+                        "{payload:02x?}: fast path returned {fast:?} where the decoder errs: {e}"
+                    ),
+                }
+            }
+        });
+        assert!(
+            fast_hits.get() > 0 && fallbacks.get() > 0,
+            "both paths exercised"
+        );
     }
 
     #[test]

@@ -11,13 +11,34 @@
 //!   checksum) that is substantially smaller on disk and faster to decode,
 //!   and whose frames shard on length prefixes instead of newline scans.
 //!
-//! Both formats decode through the single engine in
-//! [`crate::log::ingest_log`]: the same strict/salvage semantics, the same
-//! `E0xx` error taxonomy, and byte-identical analyzer reports for the same
-//! run — for every shard count. The codec-specific pieces are the *scan*
-//! (walk the input once on the coordinating thread, batching record
-//! payloads into `Chunk`s at line or frame boundaries) and the *chunk
-//! decode* (run on worker threads).
+//! Both formats decode through the same ingest engines — in memory
+//! ([`crate::Pipeline::ingest_bytes`]) and streaming ([`crate::stream`]):
+//! the same strict/salvage semantics, the same `E0xx` error taxonomy, and
+//! byte-identical analyzer reports for the same run — for every shard
+//! count. The codec-specific pieces are the *scan* (walk the input once
+//! on the coordinating thread, batching record payloads into `Chunk`s at
+//! line or frame boundaries) and the *chunk decode* (run on worker
+//! threads, and on the coordinator for a stream's last chunk).
+//!
+//! # Fast path and fallback
+//!
+//! Object records are the bulk of every trace, so each codec decodes
+//! them twice over, with one contract between the two decoders:
+//!
+//! * the **fast path** parses the canonical spelling its own sink writes
+//!   straight from bytes — a text `obj` line of plain digits (or `-`)
+//!   separated by single spaces, a checksum-verified binary `obj` payload
+//!   read with straight-line varint reads — and returns only an
+//!   `Option`;
+//! * anything else (other whitespace, signs, overflow, extra fields, any
+//!   fault) makes it return `None`, and the **fallback**, the
+//!   field-by-field decoder, decides.
+//!
+//! The fallback is the only source of errors, so every code, message,
+//! line and byte is the same as if the fast path did not exist; whenever
+//! the fast path returns a record, the fallback returns the same one.
+//! Property tests in both codecs hold the pair to that over
+//! fault-mutated records.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -285,20 +306,26 @@ impl Chunk<'_> {
 
     /// Decodes the chunk, timing the decode and counting what it produced.
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
-        let t = Instant::now();
-        let out = match self {
-            Chunk::Lines(lines) => text::parse_chunk(lines, index, salvage),
-            Chunk::Frames(frames) => binary::parse_chunk(frames, index, salvage),
-        };
-        let m = ShardMetrics {
-            shard: index,
-            records: out.records.len() as u64,
-            samples: out.samples.len() as u64,
-            groups: 0,
-            elapsed: t.elapsed(),
-        };
-        (out, m)
+        timed_decode(index, || match self {
+            Chunk::Lines(lines) => text::parse_chunk(lines.iter().copied(), index, salvage),
+            Chunk::Frames(frames) => binary::parse_chunk(frames.iter().copied(), index, salvage),
+        })
     }
+}
+
+/// The one decode body behind [`Chunk::decode`] and [`OwnedChunk::decode`]:
+/// runs `decode`, timing it and counting what it produced.
+fn timed_decode(index: usize, decode: impl FnOnce() -> ChunkOut) -> (ChunkOut, ShardMetrics) {
+    let t = Instant::now();
+    let out = decode();
+    let m = ShardMetrics {
+        shard: index,
+        records: out.records.len() as u64,
+        samples: out.samples.len() as u64,
+        groups: 0,
+        elapsed: t.elapsed(),
+    };
+    (out, m)
 }
 
 /// One record-bearing line batched by the text [`text::StreamScanner`]:
@@ -363,10 +390,10 @@ pub(crate) struct OwnedFrames {
 }
 
 /// The owned counterpart of [`Chunk`], produced by the incremental
-/// scanners behind [`crate::stream`]. Decoding rebuilds the borrowed
-/// `RawLine`/`RawFrame` views over the owned buffer and runs the *same*
-/// `parse_chunk` as the in-memory path — which is what makes the two
-/// paths agree error for error.
+/// scanners behind [`crate::stream`]. Decoding walks `RawLine`/`RawFrame`
+/// views over the owned buffer through the *same* `parse_chunk` as the
+/// in-memory path — which is what makes the two paths agree error for
+/// error.
 #[derive(Debug)]
 pub(crate) enum OwnedChunk {
     /// Text `obj`/`gc`/`retain` lines.
@@ -410,48 +437,32 @@ impl OwnedChunk {
     }
 
     /// Decodes the chunk, timing the decode and counting what it
-    /// produced; mirrors [`Chunk::decode`] exactly.
+    /// produced: the same per-unit decoders as [`Chunk::decode`], fed
+    /// views over the owned buffer.
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
-        let t = Instant::now();
-        let out = match self {
+        timed_decode(index, || match self {
             OwnedChunk::Lines(c) => {
-                let views: Vec<text::RawLine<'_>> = c
-                    .metas
-                    .iter()
-                    .map(|m| text::RawLine {
-                        line: m.line,
-                        byte: m.byte,
-                        len: m.len,
-                        text: &c.buf[m.start..m.end],
-                        terminated: true,
-                    })
-                    .collect();
-                text::parse_chunk(&views, index, salvage)
+                let lines = c.metas.iter().map(|m| text::RawLine {
+                    line: m.line,
+                    byte: m.byte,
+                    len: m.len,
+                    text: &c.buf[m.start..m.end],
+                    terminated: true,
+                });
+                text::parse_chunk(lines, index, salvage)
             }
             OwnedChunk::Frames(c) => {
-                let views: Vec<binary::RawFrame<'_>> = c
-                    .metas
-                    .iter()
-                    .map(|m| binary::RawFrame {
-                        frame: m.frame,
-                        byte: m.byte,
-                        len: m.len,
-                        tag: m.tag,
-                        payload: &c.buf[m.start..m.end],
-                        crc: m.crc,
-                    })
-                    .collect();
-                binary::parse_chunk(&views, index, salvage)
+                let frames = c.metas.iter().map(|m| binary::RawFrame {
+                    frame: m.frame,
+                    byte: m.byte,
+                    len: m.len,
+                    tag: m.tag,
+                    payload: &c.buf[m.start..m.end],
+                    crc: m.crc,
+                });
+                binary::parse_chunk(frames, index, salvage)
             }
-        };
-        let m = ShardMetrics {
-            shard: index,
-            records: out.records.len() as u64,
-            samples: out.samples.len() as u64,
-            groups: 0,
-            elapsed: t.elapsed(),
-        };
-        (out, m)
+        })
     }
 }
 
@@ -572,6 +583,35 @@ impl ScanOutput<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heapdrag_testkit::Rng;
+    use heapdrag_vm::ids::{ClassId, ObjectId};
+
+    /// A field value at a width the fast paths must get right: tiny,
+    /// mid-sized, at the top of the type, or anywhere.
+    fn random_value(rng: &mut Rng, max: u64) -> u64 {
+        match rng.range_u32(0, 4) {
+            0 => rng.range_u64(0, 10),
+            1 => rng.range_u64(0, 200_000).min(max),
+            2 => max - rng.range_u64(0, 3),
+            _ => rng.next_u64() % max.saturating_add(1).max(1),
+        }
+    }
+
+    /// A random object record for the codec fast-path properties.
+    pub(super) fn random_record(rng: &mut Rng) -> ObjectRecord {
+        let u32_max = u64::from(u32::MAX);
+        ObjectRecord {
+            object: ObjectId(random_value(rng, u64::MAX)),
+            class: ClassId(random_value(rng, u32_max) as u32),
+            size: random_value(rng, u64::MAX),
+            created: random_value(rng, u64::MAX),
+            freed: random_value(rng, u64::MAX),
+            last_use: rng.bool().then(|| random_value(rng, u64::MAX)),
+            alloc_site: ChainId(random_value(rng, u32_max) as u32),
+            last_use_site: rng.bool().then(|| ChainId(random_value(rng, u32_max) as u32)),
+            at_exit: rng.bool(),
+        }
+    }
 
     #[test]
     fn detect_by_magic() {

@@ -229,6 +229,19 @@ fn opt_field<'a, T: std::str::FromStr>(
     })
 }
 
+/// Fails with `E005` when a line carries a field past its last one: the
+/// text counterpart of the binary codec's trailing-payload check.
+fn no_extra<'a>(parts: &mut impl Iterator<Item = &'a str>, line: usize) -> Result<(), LogError> {
+    match parts.next() {
+        None => Ok(()),
+        Some(word) => Err(LogError::new(
+            ErrorCode::BadFieldValue,
+            line,
+            format!("extra field `{word}` after the last field"),
+        )),
+    }
+}
+
 /// Parses one `obj` line body (after the directive word).
 fn parse_obj<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
@@ -243,6 +256,7 @@ fn parse_obj<'a>(
     let alloc_site = ChainId(field(parts, n, "alloc chain")?);
     let last_use_site = opt_field::<u32>(parts, n, "use chain")?.map(ChainId);
     let at_exit: u8 = field(parts, n, "at-exit flag")?;
+    no_extra(parts, n)?;
     Ok(ObjectRecord {
         object,
         class,
@@ -261,11 +275,20 @@ fn parse_gc<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
     n: usize,
 ) -> Result<GcSample, LogError> {
-    Ok(GcSample {
+    let sample = GcSample {
         time: field(parts, n, "time")?,
         reachable_bytes: field(parts, n, "reachable bytes")?,
         reachable_count: field(parts, n, "reachable count")?,
-    })
+    };
+    no_extra(parts, n)?;
+    Ok(sample)
+}
+
+/// Parses one `end` line body (after the directive word).
+fn parse_end<'a>(parts: &mut impl Iterator<Item = &'a str>, n: usize) -> Result<u64, LogError> {
+    let end_time = field(parts, n, "end time")?;
+    no_extra(parts, n)?;
+    Ok(end_time)
 }
 
 /// Parses one `retain` line body (after the directive word). The path is
@@ -308,13 +331,114 @@ fn parse_retain<'a>(
     })
 }
 
-/// Decodes one chunk of `obj`/`gc`/`retain` lines. In strict mode the
-/// first bad line ends the chunk (the sequential scan would stop there
-/// too); in salvage mode bad lines are dropped and counted, and decoding
-/// continues.
-pub(crate) fn parse_chunk(lines: &[RawLine<'_>], chunk: usize, salvage: bool) -> ChunkOut {
-    let mut out = ChunkOut::default();
+/// A cursor over the fields of a canonical record line: plain ASCII
+/// digits, or `-` for an absent optional field, separated by single
+/// spaces. Every read returns `None` on anything else (an empty field, a
+/// sign, a non-digit, overflow, a doubled or missing separator), and the
+/// caller falls back to the field-by-field parser.
+struct Canonical<'a> {
+    line: &'a [u8],
+    pos: usize,
+}
+
+impl Canonical<'_> {
+    /// The digits at the cursor as a `u64`; at least one digit.
+    fn digits(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(&b) = self.line.get(self.pos) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(v)
+    }
+
+    /// One separating space.
+    fn space(&mut self) -> Option<()> {
+        (self.line.get(self.pos) == Some(&b' ')).then(|| self.pos += 1)
+    }
+
+    /// A numeric field followed by its separator.
+    fn field(&mut self) -> Option<u64> {
+        let v = self.digits()?;
+        self.space()?;
+        Some(v)
+    }
+
+    /// A `u32` field followed by its separator.
+    fn field_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.field()?).ok()
+    }
+
+    /// An optional field (`-` when absent) followed by its separator.
+    fn opt(&mut self) -> Option<Option<u64>> {
+        if self.line.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+            self.space()?;
+            return Some(None);
+        }
+        self.field().map(Some)
+    }
+}
+
+/// The fast path for one `obj` line: parses the canonical spelling the
+/// [`TextSink`] writes straight from bytes, with no whitespace splitting
+/// and no `FromStr`. `None` for any other spelling; [`parse_obj`] then
+/// decides, and stays the only source of errors. Whenever this returns a
+/// record, [`parse_obj`] returns the same one.
+fn parse_obj_canonical(line: &[u8]) -> Option<ObjectRecord> {
+    let mut c = Canonical {
+        line: line.strip_prefix(b"obj ")?,
+        pos: 0,
+    };
+    let object = ObjectId(c.field()?);
+    let class = ClassId(c.field_u32()?);
+    let size = c.field()?;
+    let created = c.field()?;
+    let freed = c.field()?;
+    let last_use = c.opt()?;
+    let alloc_site = ChainId(c.field_u32()?);
+    let last_use_site = match c.opt()? {
+        None => None,
+        Some(v) => Some(ChainId(u32::try_from(v).ok()?)),
+    };
+    let at_exit = u8::try_from(c.digits()?).ok()? != 0;
+    (c.pos == c.line.len()).then_some(ObjectRecord {
+        object,
+        class,
+        size,
+        created,
+        freed,
+        last_use,
+        alloc_site,
+        last_use_site,
+        at_exit,
+    })
+}
+
+/// Decodes one chunk of `obj`/`gc`/`retain` lines. A canonical `obj` line
+/// takes the byte-level fast path; every other line goes through the
+/// field-by-field parsers. In strict mode the first bad line ends the
+/// chunk (the sequential scan would stop there too); in salvage mode bad
+/// lines are dropped and counted, and decoding continues.
+pub(crate) fn parse_chunk<'a>(
+    lines: impl ExactSizeIterator<Item = RawLine<'a>>,
+    chunk: usize,
+    salvage: bool,
+) -> ChunkOut {
+    let mut out = ChunkOut {
+        records: Vec::with_capacity(lines.len()),
+        ..ChunkOut::default()
+    };
     for raw in lines {
+        if let Some(r) = parse_obj_canonical(raw.text.as_bytes()) {
+            out.records.push(r);
+            continue;
+        }
         let mut parts = raw.text.split_whitespace();
         let result = match parts.next() {
             Some("obj") => parse_obj(&mut parts, raw.line).map(|r| out.records.push(r)),
@@ -334,6 +458,14 @@ pub(crate) fn parse_chunk(lines: &[RawLine<'_>], chunk: usize, salvage: bool) ->
         }
     }
     out
+}
+
+/// True for a line that starts `obj ` or `gc `: a record line, whatever
+/// follows. The scans classify such a line by this raw prefix alone, with
+/// no trimming or splitting; it reaches the same decision as the
+/// directive-word match, since the first word of the line is the prefix.
+fn is_record_prefix(line: &[u8]) -> bool {
+    line.starts_with(b"obj ") || line.starts_with(b"gc ")
 }
 
 /// The text codec's scan pass: one walk over the input on the
@@ -364,6 +496,13 @@ pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutpu
             }
             continue;
         }
+        if raw.line > 1 && is_record_prefix(raw.text.as_bytes()) {
+            current.push(raw);
+            if current.len() >= chunk_records {
+                chunks.push(std::mem::take(&mut current));
+            }
+            continue;
+        }
         let content = raw.text.trim();
         if raw.line == 1 {
             if content == TEXT_HEADER {
@@ -385,7 +524,7 @@ pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutpu
         }
         let mut parts = content.split_whitespace();
         match parts.next() {
-            Some("end") => match field(&mut parts, raw.line, "end time") {
+            Some("end") => match parse_end(&mut parts, raw.line) {
                 Ok(t) => {
                     out.end_time = t;
                     out.saw_end = true;
@@ -435,6 +574,28 @@ pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutpu
     out.chunks = chunks.into_iter().map(Chunk::Lines).collect();
     out.next_position = (last_line + 1, text.len() as u64);
     out
+}
+
+/// The index of the first `\n` in `bytes`, searched eight bytes at a
+/// time: a word holds a newline exactly when `word ^ NEWLINES` has a zero
+/// byte, and the lowest flagged byte of the zero-byte test is always a
+/// true zero.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(base + (zeros.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| base + i)
 }
 
 /// The incremental counterpart of [`scan`]: fed arbitrary byte blocks
@@ -487,7 +648,7 @@ impl StreamScanner {
         }
         let mut rest = data;
         if !self.carry.is_empty() {
-            match rest.iter().position(|&b| b == b'\n') {
+            match find_newline(rest) {
                 None => {
                     self.carry.extend_from_slice(rest);
                     return;
@@ -500,7 +661,7 @@ impl StreamScanner {
                 }
             }
         }
-        while let Some(i) = rest.iter().position(|&b| b == b'\n') {
+        while let Some(i) = find_newline(rest) {
             if self.state.aborted {
                 return;
             }
@@ -525,9 +686,41 @@ impl StreamScanner {
         self.state.next_position = (self.line + 1, self.lossy_pos);
     }
 
+    /// Appends one record-bearing line to the current chunk, handing the
+    /// chunk off once it is full.
+    fn push_record(
+        &mut self,
+        n: usize,
+        byte: u64,
+        len: u64,
+        text: &str,
+        out: &mut Vec<OwnedChunk>,
+    ) {
+        let start = self.current.buf.len();
+        self.current.buf.push_str(text);
+        self.current.metas.push(LineMeta {
+            line: n,
+            byte,
+            len,
+            start,
+            end: self.current.buf.len(),
+        });
+        if self.current.metas.len() >= self.chunk_records {
+            out.push(OwnedChunk::Lines(std::mem::take(&mut self.current)));
+        }
+    }
+
     fn process_line(&mut self, raw: &[u8], terminated: bool, out: &mut Vec<OwnedChunk>) {
         self.line += 1;
         let n = self.line;
+        if terminated && n > 1 && is_record_prefix(raw) {
+            if let Ok(text) = std::str::from_utf8(raw) {
+                let (byte, len) = (self.lossy_pos, raw.len() as u64 + 1);
+                self.lossy_pos += len;
+                self.push_record(n, byte, len, text, out);
+                return;
+            }
+        }
         let content = String::from_utf8_lossy(raw);
         let len = content.len() as u64 + u64::from(terminated);
         let byte = self.lossy_pos;
@@ -561,7 +754,7 @@ impl StreamScanner {
         }
         let mut parts = trimmed.split_whitespace();
         match parts.next() {
-            Some("end") => match field(&mut parts, n, "end time") {
+            Some("end") => match parse_end(&mut parts, n) {
                 Ok(t) => {
                     self.state.end_time = t;
                     self.state.saw_end = true;
@@ -582,18 +775,7 @@ impl StreamScanner {
                 }
             },
             Some("obj") | Some("gc") | Some("retain") => {
-                let start = self.current.buf.len();
-                self.current.buf.push_str(&content);
-                self.current.metas.push(LineMeta {
-                    line: n,
-                    byte,
-                    len,
-                    start,
-                    end: self.current.buf.len(),
-                });
-                if self.current.metas.len() >= self.chunk_records {
-                    out.push(OwnedChunk::Lines(std::mem::take(&mut self.current)));
-                }
+                self.push_record(n, byte, len, &content, out);
             }
             Some(other) => {
                 let mut e = LogError::new(
@@ -820,6 +1002,113 @@ mod tests {
         assert_eq!(decoded, records);
     }
 
+    /// The field-by-field decision on one line: the record, or the error
+    /// (a line whose first word is not `obj` is not an `obj` record).
+    fn slow_obj(line: &str) -> Result<ObjectRecord, String> {
+        let mut parts = line.split_whitespace();
+        match parts.next() {
+            Some("obj") => parse_obj(&mut parts, 1).map_err(|e| e.to_string()),
+            other => Err(format!("not an obj line: {other:?}")),
+        }
+    }
+
+    /// One seeded edit of a record line: a testkit fault, or a splice
+    /// aimed at the canonical grammar's edges (separators, signs, digit
+    /// overflow, extra fields).
+    fn mutate_line(line: &str, rng: &mut heapdrag_testkit::Rng) -> String {
+        use heapdrag_testkit::{inject, Fault};
+        const SPLICES: [&str; 12] = [
+            " ", "  ", "\t", "-", "+", "0", "9", "x", "\r", " 7",
+            "18446744073709551616", "4294967296",
+        ];
+        let at = |rng: &mut heapdrag_testkit::Rng, s: &str| rng.range_usize(0, s.len() + 1);
+        match rng.range_u32(0, 4) {
+            0 => {
+                let fault = *rng.choose(&Fault::ALL);
+                let (faulted, _) = inject(&format!("{line}\n"), fault, rng);
+                faulted.trim_end_matches('\n').to_string()
+            }
+            1 => {
+                let i = at(rng, line);
+                let splice = *rng.choose(&SPLICES);
+                format!("{}{splice}{}", &line[..i], &line[i..])
+            }
+            2 if !line.is_empty() => {
+                let i = rng.range_usize(0, line.len());
+                format!("{}{}", &line[..i], &line[i + 1..])
+            }
+            _ => {
+                // Replace one whole field with a splice.
+                let mut words: Vec<&str> = line.split(' ').collect();
+                let i = rng.range_usize(0, words.len());
+                words[i] = *rng.choose(&SPLICES);
+                words.join(" ")
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_obj_fast_path_never_disagrees_with_the_field_parser() {
+        use std::cell::Cell;
+        let (fast_hits, fallbacks) = (Cell::new(0u32), Cell::new(0u32));
+        heapdrag_testkit::check("text obj fast path", 512, |rng| {
+            let record = crate::codec::tests::random_record(rng);
+            let mut buf = Vec::new();
+            TextSink::new(&mut buf).record(&record).unwrap();
+            let clean = String::from_utf8(buf).unwrap();
+            let clean = clean.trim_end_matches('\n');
+            assert_eq!(parse_obj_canonical(clean.as_bytes()), Some(record), "{clean}");
+
+            let mut line = clean.to_string();
+            for _ in 0..rng.range_u32(1, 4) {
+                line = mutate_line(&line, rng);
+                match (parse_obj_canonical(line.as_bytes()), slow_obj(&line)) {
+                    (None, _) => fallbacks.set(fallbacks.get() + 1),
+                    (Some(fast), Ok(slow)) => {
+                        assert_eq!(fast, slow, "`{line}`");
+                        fast_hits.set(fast_hits.get() + 1);
+                    }
+                    (Some(fast), Err(e)) => {
+                        panic!("`{line}`: fast path returned {fast:?} where the parser errs: {e}")
+                    }
+                }
+            }
+        });
+        assert!(
+            fast_hits.get() > 0 && fallbacks.get() > 0,
+            "both paths exercised"
+        );
+    }
+
+    #[test]
+    fn non_canonical_obj_lines_fall_back_to_the_same_record() {
+        let canonical = "obj 17 8 816 1024 204800 2048 3 5 0";
+        let want = slow_obj(canonical).unwrap();
+        assert_eq!(parse_obj_canonical(canonical.as_bytes()), Some(want));
+        for spelling in [
+            "obj  17 8 816 1024 204800 2048 3 5 0",
+            "obj\t17\t8\t816\t1024\t204800\t2048\t3\t5\t0",
+            " obj 17 8 816 1024 204800 2048 3 5 0",
+            "obj 17 8 816 1024 204800 2048 3 5 0 ",
+            "obj 17 8 816 1024 204800 2048 3 5 0\r",
+            "obj +17 8 816 1024 204800 2048 3 5 0",
+            "obj 017 8 816 1024 204800 2048 3 5 00",
+        ] {
+            // `017` and `00` are canonical digits; the rest are not.
+            let fast = parse_obj_canonical(spelling.as_bytes());
+            assert!(fast.is_none() || fast == Some(want), "`{spelling}`");
+            assert_eq!(slow_obj(spelling), Ok(want), "`{spelling}`");
+        }
+        let text = format!(
+            "{TEXT_HEADER}\nobj  17 8 816 1024 204800 2048 3 5 0\nobj\t18 8 8 1 2 - 3 - 1\nend 9\n"
+        );
+        let s = scan(&text, false, 8192);
+        let (out, _) = s.chunks[0].decode(0, false);
+        assert!(out.errors.is_empty(), "{:?}", out.errors);
+        assert_eq!(out.records[0], want);
+        assert_eq!(out.records[1].object, ObjectId(18));
+    }
+
     #[test]
     fn retain_line_faults_are_classified() {
         // Bad truncated flag → E005; missing path → E004; both survive
@@ -869,6 +1158,25 @@ mod tests {
         log.extend_from_slice(b"obj 1 2 816 16 900 320 \xf0\x9f 0 1 0\n");
         log.extend_from_slice(b"obj 2 2 24 32 1000 - 0 - 1\nend 1000\n");
         assert_stream_matches_batch(&log, "invalid utf8");
+    }
+
+    #[test]
+    fn find_newline_agrees_with_a_byte_search() {
+        // Every offset of a newline inside and across eight-byte words,
+        // next to the bytes a zero-byte test could confuse with it.
+        let fillers = [b'a', b'\x0b', b'\x09', b'\x8a', b'\xff', b'\x00'];
+        for len in 0..40 {
+            for filler in fillers {
+                let mut bytes = vec![filler; len];
+                assert_eq!(find_newline(&bytes), None, "len {len} filler {filler:#x}");
+                for at in 0..len {
+                    bytes[at] = b'\n';
+                    let want = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&bytes), want, "len {len} at {at} filler {filler:#x}");
+                    bytes[at] = filler;
+                }
+            }
+        }
     }
 
     #[test]

@@ -93,8 +93,6 @@ pub use engine::{
 pub use live::{run_live, LiveOptions, LiveRun};
 pub use histogram::{Buckets, LifetimeHistogram};
 pub use integrals::Integrals;
-#[allow(deprecated)]
-pub use log::{ingest_log, parse_log, parse_log_sharded};
 pub use log::{
     ErrorCode, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };

@@ -21,9 +21,10 @@
 //!
 //! Real traces come from runs that crashed, were killed, or hit `ENOSPC`,
 //! and lifetime measurements remain meaningful on the surviving prefix.
-//! [`ingest_log`] therefore supports two [`IngestMode`]s:
+//! Every [`crate::Pipeline`] ingest terminal therefore supports two
+//! [`IngestMode`]s:
 //!
-//! * **Strict** (the default, and every `parse_log*` entry point): the
+//! * **Strict** (the default): the
 //!   first malformed line or frame aborts the parse with a [`LogError`]
 //!   carrying a stable [`ErrorCode`], the 1-based line/frame number, and
 //!   the byte offset of the line or frame.
@@ -225,12 +226,11 @@ impl fmt::Display for LogError {
 
 impl Error for LogError {}
 
-/// How [`ingest_log`] treats malformed input.
+/// How an ingest treats malformed input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestMode {
-    /// Abort at the first malformed line — the historical `parse_log`
-    /// behaviour, and the right default when a log is expected to be
-    /// complete.
+    /// Abort at the first malformed line — the right default when a log
+    /// is expected to be complete.
     #[default]
     Strict,
     /// Keep going: drop what cannot be decoded, collapse duplicates,
@@ -274,7 +274,7 @@ impl IngestConfig {
 /// display; the rest are only counted in the histogram.
 pub const FIRST_ERRORS_CAP: usize = 5;
 
-/// What salvage kept, dropped, and repaired — threaded from [`ingest_log`]
+/// What salvage kept, dropped, and repaired — threaded from the ingest
 /// through the analyzer to the report footer and the
 /// `heapdrag_salvage_*` metrics.
 ///
@@ -545,67 +545,22 @@ fn drive_sink<S: TraceSink>(
     sink.end(run.outcome.end_time)
 }
 
-/// Parses a phase-1 log (phase-2 input), strictly and sequentially — the
-/// `shards = 1` special case of [`parse_log_sharded`].
+/// The in-memory ingestion engine behind
+/// [`crate::Pipeline::ingest_bytes`]: format autodetection by magic
+/// bytes, one scan on the coordinating thread (via the detected codec),
+/// sharded record decoding, then a deterministic merge.
 ///
-/// Strict mode demands a complete log: a well-formed header, decodable
-/// directives, a terminated final line (text) or intact frames (binary),
-/// and the end-of-log marker. To ingest a log from a crashed or killed
-/// run instead, use [`ingest_log`] with [`IngestConfig::salvage`], which
-/// degrades gracefully and reports what it dropped.
-///
-/// # Errors
-///
-/// Returns the [`LogError`] of the first malformed line (smallest line
-/// number), with its stable [`ErrorCode`] and byte offset.
-#[deprecated(note = "use `Pipeline::options().ingest_bytes(text)`")]
-pub fn parse_log(text: &str) -> Result<ParsedLog, LogError> {
-    ingest_bytes_impl(
-        text.as_bytes(),
-        &ParallelConfig::sequential(),
-        &IngestConfig::strict(),
-    )
-    .map(|i| i.log)
-}
-
-/// Parses a phase-1 log strictly with a sharded record decoder.
-///
-/// The coordinating thread scans the file once: shared state (the header,
-/// chain table, and end marker) is parsed in place, while record-bearing
-/// lines/frames — the bulk of a trace — are batched into chunks of
-/// [`ParallelConfig::chunk_records`] units and decoded on up to
-/// [`ParallelConfig::shards`] worker threads. Chunks are reassembled in
-/// input order, so the resulting [`ParsedLog`] is identical to the
-/// sequential parse; when several units are malformed, the reported
-/// [`LogError`] is the one with the smallest line/frame number, exactly
-/// as the sequential scan would have reported.
-///
-/// # Errors
-///
-/// Returns the first malformed unit's [`LogError`], for any shard count.
-#[deprecated(note = "use `Pipeline::options().shards(n).ingest_bytes(text)`")]
-pub fn parse_log_sharded(
-    text: &str,
-    par: &ParallelConfig,
-) -> Result<(ParsedLog, ParallelMetrics), LogError> {
-    ingest_bytes_impl(text.as_bytes(), par, &IngestConfig::strict()).map(|i| (i.log, i.metrics))
-}
-
-/// The single ingestion engine behind every parse entry point: format
-/// autodetection by magic bytes, one scan on the coordinating thread
-/// (via the detected codec), sharded record decoding, then a
-/// deterministic merge.
-///
-/// Accepts anything byte-like (`&str`, `&[u8]`, `Vec<u8>`, `String`):
-/// text logs are lossily decoded as UTF-8, binary logs are parsed as
+/// Text logs are lossily decoded as UTF-8, binary logs are parsed as
 /// frames.
 ///
 /// **Strict** ([`IngestConfig::strict`]) returns the first malformed
-/// unit's error. **Salvage** ([`IngestConfig::salvage`]) instead:
+/// unit's error: the one with the smallest line/frame number, exactly as
+/// a sequential scan would report it. **Salvage**
+/// ([`IngestConfig::salvage`]) instead:
 ///
 /// 1. drops undecodable lines/frames (counting units and bytes per
-///    [`ErrorCode`]) — a binary checksum mismatch drops exactly one
-///    frame, while a fault that destroys framing (unknown tag, corrupt
+///    [`ErrorCode`]) — a binary checksum mismatch or unknown tag drops
+///    exactly one frame, while a fault that destroys framing (corrupt
 ///    length prefix, truncation) keeps the intact prefix and drops the
 ///    rest,
 /// 2. drops a torn tail (unterminated final line / truncated frame),
@@ -627,16 +582,6 @@ pub fn parse_log_sharded(
 /// # Errors
 ///
 /// Strict: the first malformed unit. Salvage: `E001` or `E008` only.
-#[deprecated(note = "use `Pipeline::options().salvage(..).ingest_bytes(input)` (or \
-`.ingest_reader(..)` for bounded-memory streaming)")]
-pub fn ingest_log(
-    input: impl AsRef<[u8]>,
-    par: &ParallelConfig,
-    ingest: &IngestConfig,
-) -> Result<Ingested, LogError> {
-    ingest_bytes_impl(input.as_ref(), par, ingest)
-}
-
 pub(crate) fn ingest_bytes_impl(
     bytes: &[u8],
     par: &ParallelConfig,
@@ -868,15 +813,40 @@ pub(crate) fn ingest_bytes_impl(
 }
 
 #[cfg(test)]
-// These tests exercise the deprecated wrappers on purpose: they are the
-// wrappers' own regression suite, pinning the behaviour `Pipeline`
-// terminals must keep matching.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Pipeline, PipelineError};
+
+    /// The pipeline for one parallel and one ingest configuration.
+    fn pipeline(par: &ParallelConfig, cfg: &IngestConfig) -> Pipeline {
+        let pipe = Pipeline::options()
+            .shards(par.shards)
+            .chunk_records(par.chunk_records);
+        match cfg.mode {
+            IngestMode::Strict => pipe.strict(),
+            IngestMode::Salvage => pipe.salvage(cfg.max_errors),
+        }
+    }
+
+    /// An in-memory ingest through `Pipeline::ingest_bytes`.
+    fn ingest(
+        input: impl AsRef<[u8]>,
+        par: &ParallelConfig,
+        cfg: &IngestConfig,
+    ) -> Result<Ingested, LogError> {
+        pipeline(par, cfg).ingest_bytes(input).map_err(|e| match e {
+            PipelineError::Log(e) => e,
+            PipelineError::Io(e) => panic!("an in-memory ingest cannot fail on I/O: {e}"),
+        })
+    }
+
+    /// A strict, sequential ingest of `text`.
+    fn strict(text: &str) -> Result<ParsedLog, LogError> {
+        ingest(text, &ParallelConfig::sequential(), &IngestConfig::strict()).map(|i| i.log)
+    }
 
     fn salvage_seq(input: impl AsRef<[u8]>) -> Ingested {
-        ingest_log(
+        ingest(
             input,
             &ParallelConfig::sequential(),
             &IngestConfig::salvage(),
@@ -886,7 +856,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_bad_header() {
-        let e = parse_log("not-a-log\n").unwrap_err();
+        let e = strict("not-a-log\n").unwrap_err();
         assert_eq!(e.line, 1);
         assert_eq!(e.code, ErrorCode::BadHeader);
         assert_eq!(e.byte, 0);
@@ -894,10 +864,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_empty_log() {
-        let e = parse_log("").unwrap_err();
+        let e = strict("").unwrap_err();
         assert_eq!(e.code, ErrorCode::EmptyLog);
         // Even salvage has nothing to keep from an empty file.
-        let e = ingest_log(
+        let e = ingest(
             "",
             &ParallelConfig::sequential(),
             &IngestConfig::salvage(),
@@ -909,7 +879,7 @@ mod tests {
     #[test]
     fn parse_handcrafted_log() {
         let text = "heapdrag-log v1\nend 1000\nchain 0 Main.main@3 \"big array\"\nobj 1 2 816 16 900 320 0 0 0\nobj 2 2 24 32 1000 - 0 - 1\ngc 500 840 2\n";
-        let log = parse_log(text).unwrap();
+        let log = strict(text).unwrap();
         assert_eq!(log.end_time, 1000);
         assert_eq!(log.records.len(), 2);
         assert_eq!(log.samples.len(), 1);
@@ -923,20 +893,54 @@ mod tests {
     #[test]
     fn parse_reports_line_numbers() {
         let text = "heapdrag-log v1\nobj 1 bad\n";
-        let e = parse_log(text).unwrap_err();
+        let e = strict(text).unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(e.code, ErrorCode::BadFieldValue);
         assert_eq!(e.byte, 16, "byte offset of the line start");
         let text = "heapdrag-log v1\nwhat 1\n";
-        let e = parse_log(text).unwrap_err();
+        let e = strict(text).unwrap_err();
         assert!(e.message.contains("what"));
         assert_eq!(e.code, ErrorCode::UnknownDirective);
     }
 
     #[test]
+    fn extra_fields_on_record_lines_are_e005() {
+        // A lost newline joins two `obj` lines; a stray word trails a `gc`
+        // or `end` line. Each line must fail whole, never parse its first
+        // fields and drop the rest.
+        let clean = "obj 3 2 40 50 900 - 0 - 0\n";
+        let cases = [
+            "obj 1 2 816 16 900 320 0 0 0 obj 2 2 24 32 1000 - 0 - 1",
+            "obj 1 2 816 16 900 320 0 0 0 7",
+            "gc 500 840 2 2",
+            "end 1000 1000",
+        ];
+        for bad in cases {
+            let text = format!("heapdrag-log v1\n{clean}{bad}\ngc 600 40 1\nend 1000\n");
+            let e = strict(&text).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadFieldValue, "{bad}: {e}");
+            assert_eq!(e.line, 3, "{bad}");
+            assert_eq!(e.byte, (16 + clean.len()) as u64, "{bad}");
+            assert!(e.message.contains("extra field"), "{bad}: {e}");
+            // The streaming reader reports the same error.
+            let streamed = Pipeline::options().ingest_reader(text.as_bytes()).unwrap_err();
+            assert_eq!(streamed.as_log(), Some(&e), "{bad}");
+
+            let ing = salvage_seq(&text);
+            assert_eq!(ing.salvage.lines_dropped, 1, "{bad}");
+            assert_eq!(ing.salvage.bytes_skipped, bad.len() as u64 + 1, "{bad}");
+            assert_eq!(ing.salvage.errors_by_code[&ErrorCode::BadFieldValue], 1, "{bad}");
+            assert_eq!(ing.log.records.len(), 1, "{bad}: only the clean record is kept");
+            assert_eq!(ing.log.records[0].object, ObjectId(3), "{bad}");
+            assert_eq!(ing.log.samples.len(), 1, "{bad}");
+            assert_eq!(ing.log.end_time, 1000, "{bad}");
+        }
+    }
+
+    #[test]
     fn strict_requires_the_end_marker() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\n";
-        let e = parse_log(text).unwrap_err();
+        let e = strict(text).unwrap_err();
         assert_eq!(e.code, ErrorCode::MissingEndMarker);
         assert_eq!(e.line, 3, "reported just past the last line");
 
@@ -950,7 +954,7 @@ mod tests {
     #[test]
     fn strict_rejects_a_torn_tail() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\nend 90";
-        let e = parse_log(text).unwrap_err();
+        let e = strict(text).unwrap_err();
         assert_eq!(e.code, ErrorCode::TornTail);
         assert_eq!(e.line, 3);
 
@@ -991,7 +995,7 @@ mod tests {
     #[test]
     fn salvage_collapses_duplicate_records_and_samples() {
         let text = "heapdrag-log v1\nobj 1 2 816 16 900 320 0 0 0\ngc 500 840 2\nobj 1 2 816 16 900 320 0 0 0\ngc 500 840 2\nend 1000\n";
-        let strict = parse_log(text).unwrap();
+        let strict = strict(text).unwrap();
         assert_eq!(strict.records.len(), 2, "strict does not dedup");
         let ing = salvage_seq(text);
         assert_eq!(ing.log.records.len(), 1);
@@ -1003,7 +1007,7 @@ mod tests {
     #[test]
     fn salvage_respects_max_errors() {
         let text = "heapdrag-log v1\nbad 1\nbad 2\nbad 3\nend 10\n";
-        let ok = ingest_log(
+        let ok = ingest(
             text,
             &ParallelConfig::sequential(),
             &IngestConfig {
@@ -1013,7 +1017,7 @@ mod tests {
         )
         .expect("within bound");
         assert_eq!(ok.salvage.total_errors(), 3);
-        let e = ingest_log(
+        let e = ingest(
             text,
             &ParallelConfig::sequential(),
             &IngestConfig {
@@ -1081,7 +1085,7 @@ mod tests {
     /// The same synthetic log re-encoded as HDLOG v2 frames, via the
     /// parsed text log (so both encodings carry identical data).
     fn big_log_binary(records: usize) -> Vec<u8> {
-        let log = parse_log(&big_log(records)).unwrap();
+        let log = strict(&big_log(records)).unwrap();
         let mut buf = Vec::new();
         let mut sink = BinarySink::new(&mut buf);
         sink.begin().unwrap();
@@ -1103,13 +1107,13 @@ mod tests {
     #[test]
     fn sharded_parse_matches_sequential() {
         let text = big_log(500);
-        let sequential = parse_log(&text).unwrap();
+        let sequential = strict(&text).unwrap();
         for shards in [1, 2, 8] {
             let par = ParallelConfig {
                 shards,
                 chunk_records: 64,
             };
-            let (sharded, metrics) = parse_log_sharded(&text, &par).unwrap();
+            let (sharded, metrics) = ingest(&text, &par, &IngestConfig::strict()).map(|i| (i.log, i.metrics)).unwrap();
             assert_eq!(sharded, sequential, "shards = {shards}");
             assert_eq!(metrics.total_records(), 500);
             assert!(metrics.shards.len() > 1, "chunked into multiple units");
@@ -1133,7 +1137,7 @@ mod tests {
                 shards,
                 chunk_records: 16,
             };
-            let e = parse_log_sharded(&text, &par).unwrap_err();
+            let e = ingest(&text, &par, &IngestConfig::strict()).map(|i| (i.log, i.metrics)).unwrap_err();
             assert_eq!(e.line, 41, "shards = {shards}: {e}");
             assert_eq!(e.code, ErrorCode::BadFieldValue, "shards = {shards}");
         }
@@ -1148,7 +1152,7 @@ mod tests {
         text = lines.join("\n"); // also tears the final line
         // Chunk indices in errors depend on `chunk_records` (the scan
         // decides chunking), so the baseline pins the same chunk size.
-        let baseline = ingest_log(
+        let baseline = ingest(
             &text,
             &ParallelConfig {
                 shards: 1,
@@ -1163,7 +1167,7 @@ mod tests {
                 chunk_records: 16,
             };
             let ing =
-                ingest_log(&text, &par, &IngestConfig::salvage()).expect("salvage succeeds");
+                ingest(&text, &par, &IngestConfig::salvage()).expect("salvage succeeds");
             assert_eq!(ing.log, baseline.log, "shards = {shards}");
             assert_eq!(ing.salvage, baseline.salvage, "shards = {shards}");
         }
@@ -1182,13 +1186,13 @@ mod tests {
             binary.len(),
             text.len()
         );
-        let from_text = parse_log(&text).unwrap();
+        let from_text = strict(&text).unwrap();
         for shards in [1usize, 4, 7] {
             let par = ParallelConfig {
                 shards,
                 chunk_records: 32,
             };
-            let ing = ingest_log(&binary, &par, &IngestConfig::strict()).unwrap();
+            let ing = ingest(&binary, &par, &IngestConfig::strict()).unwrap();
             assert_eq!(ing.log, from_text, "shards = {shards}");
             assert_eq!(ing.salvage.format, LogFormat::Binary);
         }
@@ -1199,7 +1203,7 @@ mod tests {
         let mut binary = big_log_binary(300);
         let cut = binary.len() * 2 / 3;
         binary.truncate(cut);
-        let baseline = ingest_log(
+        let baseline = ingest(
             &binary,
             &ParallelConfig {
                 shards: 1,
@@ -1219,7 +1223,7 @@ mod tests {
                 chunk_records: 16,
             };
             let ing =
-                ingest_log(&binary, &par, &IngestConfig::salvage()).expect("salvage succeeds");
+                ingest(&binary, &par, &IngestConfig::salvage()).expect("salvage succeeds");
             assert_eq!(ing.log, baseline.log, "shards = {shards}");
             assert_eq!(ing.salvage, baseline.salvage, "shards = {shards}");
         }
@@ -1234,7 +1238,7 @@ mod tests {
         let mut corrupt = binary.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x01;
-        let strict = ingest_log(
+        let strict = ingest(
             &corrupt,
             &ParallelConfig::sequential(),
             &IngestConfig::strict(),

@@ -3,7 +3,7 @@
 //!
 //! The off-line phase (§2.2) has two data-parallel stages:
 //!
-//! 1. **Parse** ([`log::parse_log_sharded`](crate::log::parse_log_sharded))
+//! 1. **Parse** ([`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes))
 //!    — shared state (the header, chain table, and end marker) is parsed
 //!    once on the coordinating thread while record-bearing units are
 //!    batched into chunks of [`ParallelConfig::chunk_records`] units and

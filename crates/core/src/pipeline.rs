@@ -5,8 +5,8 @@
 //! `parse_log_sharded`, `ingest_log`, `write_log`, `write_log_binary`,
 //! `write_log_to`, and `DragAnalyzer::analyze_sharded` — each hard-wiring
 //! one combination of format, shard count, and fault policy. [`Pipeline`]
-//! replaces them all. The three encode-side functions are gone; the
-//! others survive as thin deprecated wrappers:
+//! replaces them all. Only `analyze_sharded` survives, as a thin
+//! deprecated wrapper; the other six are gone:
 //!
 //! ```
 //! use heapdrag_core::{Pipeline, LogFormat};
@@ -324,9 +324,10 @@ impl Pipeline {
         self.ingest
     }
 
-    /// Ingests an in-memory log (text or binary, autodetected). The
-    /// historical `parse_log`/`ingest_log` path: whole input in memory,
-    /// sharded decode, deterministic merge.
+    /// Ingests an in-memory log (text or binary, autodetected): whole
+    /// input in memory, sharded decode, deterministic merge. See the
+    /// engine's contract in [`crate::log`] for what strict and salvage
+    /// keep and report.
     ///
     /// # Errors
     ///

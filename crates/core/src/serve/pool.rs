@@ -214,6 +214,7 @@ impl WorkerPool {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
             };
             let latch = Arc::clone(&latch);
+            let inner = Arc::clone(&self.inner);
             self.execute(Box::new(move || {
                 /// Counts the latch even when the job panics or is
                 /// dropped without running.
@@ -226,7 +227,12 @@ impl WorkerPool {
                     }
                 }
                 let _count = Count(latch);
-                job();
+                // The panic is counted here, before `_count` releases the
+                // latch, so `panics()` is settled when `scope` returns
+                // (the latch mutex orders the count before the waiter).
+                if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                    inner.panics.fetch_add(1, Ordering::Relaxed);
+                }
             }));
         }
         let (lock, cond) = &*latch;

@@ -1,7 +1,9 @@
 //! The unix-socket front end: a line-oriented control protocol over
 //! `UnixListener`, plus the client helpers the CLI subcommands use.
 //!
-//! A connection carries exactly one command line (`\n`-terminated):
+//! A connection carries exactly one command line (`\n`-terminated), due
+//! within two seconds of the connect; a connection that misses the
+//! deadline is dropped without a reply:
 //!
 //! * `SUBMIT <name> [shards=N] [chunk=N] [mode=strict|salvage]` — every
 //!   byte after the newline is the trace; the reply (written when the
@@ -17,19 +19,37 @@
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 use crate::serve::{ServeManager, SessionId, SessionSource, SessionSpec};
 
 /// Longest accepted command line, in bytes.
 const MAX_COMMAND: usize = 4096;
 
+/// How long a connection may take to send its command line. The accept
+/// loop reads commands one connection at a time, so without a deadline a
+/// client that connects and stalls would block every other client.
+const COMMAND_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Reads the command line byte-at-a-time so no trace bytes are consumed
-/// from the stream (a buffered reader would swallow them).
+/// from the stream (a buffered reader would swallow them). A silent
+/// client times out after [`COMMAND_DEADLINE`]; one that trickles bytes
+/// is cut off at its first byte past the deadline, so no connection holds
+/// the accept loop for more than twice the deadline. The read timeout
+/// stays set on `conn`; a `SUBMIT` clears it before the session reads.
 fn read_command(conn: &mut UnixStream) -> io::Result<String> {
+    let start = Instant::now();
+    conn.set_read_timeout(Some(COMMAND_DEADLINE))?;
     let mut line = Vec::new();
     let mut byte = [0u8; 1];
     loop {
         let n = conn.read(&mut byte)?;
+        if start.elapsed() > COMMAND_DEADLINE {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "command line not received within the deadline",
+            ));
+        }
         if n == 0 || byte[0] == b'\n' {
             break;
         }
@@ -101,7 +121,9 @@ fn render_sessions(manager: &ServeManager) -> String {
 /// Runs the accept loop on `listener` until a `SHUTDOWN` command
 /// arrives. Submissions hand their connection to the session (read half
 /// as the trace source, write half as the responder), so a slow trace
-/// upload never blocks the accept loop.
+/// upload never blocks the accept loop, and a command line must arrive
+/// within a fixed deadline of two seconds, so a stalled client cannot
+/// block it either: its connection is dropped without a reply.
 ///
 /// # Errors
 ///
@@ -123,6 +145,11 @@ pub fn serve_socket(manager: &ServeManager, listener: &UnixListener) -> io::Resu
                 let name = words.get(1).copied().unwrap_or("socket").to_string();
                 match parse_overrides(manager, &words[words.len().min(2)..]) {
                     Ok(pipeline) => {
+                        // The trace upload runs on the session, unbounded
+                        // by the command deadline.
+                        if conn.set_read_timeout(None).is_err() {
+                            continue;
+                        }
                         let read_half = match conn.try_clone() {
                             Ok(r) => r,
                             Err(_) => continue,
@@ -219,4 +246,85 @@ pub fn client_command(socket: &Path, command: &str) -> io::Result<String> {
     let mut reply = String::new();
     conn.read_to_string(&mut reply)?;
     Ok(reply)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::ServeConfig;
+
+    /// A fresh socket path in the temp directory.
+    fn socket_path(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "heapdrag-socket-{}-{name}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Runs `client` against a live accept loop, then shuts it down —
+    /// also when `client` panics, so a failing test fails instead of
+    /// leaving the accept loop running.
+    fn with_server(name: &str, client: impl FnOnce(&Path)) {
+        let path = socket_path(name);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let mut manager = ServeManager::new(ServeConfig::default());
+        std::thread::scope(|s| {
+            let accept = s.spawn(|| serve_socket(&manager, &listener));
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(&path)));
+            let shutdown = client_command(&path, "SHUTDOWN");
+            accept.join().expect("accept loop panicked").expect("accept loop");
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+            assert_eq!(shutdown.unwrap(), "ok: idle\n");
+        });
+        manager.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_silent_client_does_not_block_ping() {
+        let bound = COMMAND_DEADLINE + Duration::from_secs(1);
+        with_server("silent", |path| {
+            let mut silent = UnixStream::connect(path).unwrap();
+            silent.set_read_timeout(Some(2 * bound)).unwrap();
+            silent.write_all(b"PI").unwrap();
+            let t = Instant::now();
+            let mut ping = UnixStream::connect(path).unwrap();
+            ping.set_read_timeout(Some(bound)).unwrap();
+            ping.write_all(b"PING\n").unwrap();
+            let mut reply = String::new();
+            let read = ping.read_to_string(&mut reply);
+            let waited = t.elapsed();
+            assert!(
+                read.is_ok() && reply == "pong\n",
+                "PING behind a silent client: {read:?}, reply {reply:?} after {waited:?}"
+            );
+            assert!(waited <= bound, "PING waited {waited:?} behind a silent client");
+            // The stalled connection was dropped without a reply.
+            let mut reply = String::new();
+            silent.read_to_string(&mut reply).unwrap();
+            assert_eq!(reply, "");
+        });
+    }
+
+    #[test]
+    fn a_submit_upload_may_outlast_the_command_deadline() {
+        let trace = b"heapdrag-log v1\nchain 0 Main.main@1\nobj 1 2 816 16 900 320 0 0 0\nend 1000\n";
+        with_server("slow-upload", |path| {
+            let mut conn = UnixStream::connect(path).unwrap();
+            conn.write_all(b"SUBMIT slow\n").unwrap();
+            conn.write_all(&trace[..20]).unwrap();
+            std::thread::sleep(COMMAND_DEADLINE + Duration::from_millis(500));
+            conn.write_all(&trace[20..]).unwrap();
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).unwrap();
+            assert!(!reply.starts_with("error"), "{reply}");
+            assert!(reply.contains("Main.main@1"), "{reply}");
+        });
+    }
 }

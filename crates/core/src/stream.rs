@@ -1,20 +1,24 @@
 //! The streaming, bounded-memory ingestion engine behind
 //! [`Pipeline`](crate::pipeline::Pipeline).
 //!
-//! The in-memory engine ([`crate::ingest_log`]) needs the whole trace in
-//! one buffer. This module reads any [`std::io::Read`] in fixed blocks
-//! instead and keeps peak memory at O(shards × chunk):
+//! The in-memory engine
+//! ([`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes)) needs the
+//! whole trace in one buffer. This module reads any [`std::io::Read`] in
+//! fixed blocks instead and keeps peak memory at O(shards × chunk):
 //!
 //! 1. The **coordinator** (the calling thread) reads blocks and feeds an
 //!    incremental scanner that cuts the stream at line/frame boundaries —
 //!    the same boundaries, the same error taxonomy, and the same chunking
 //!    as the in-memory scan — emitting self-contained owned chunks.
-//! 2. Each chunk is submitted as an independent decode job to the shared
-//!    [`WorkerPool`] — the same per-chunk
-//!    decoders the in-memory path uses, but on threads that outlive the
-//!    call and are shared by every concurrent ingest in the process. The
-//!    coordinator caps chunks in flight (dispatched but not yet merged)
-//!    at `2 × shards`, blocking on results when the budget is full, so a
+//! 2. Each chunk but the last is submitted as an independent decode job
+//!    to the shared [`WorkerPool`] — the same per-chunk decoders the
+//!    in-memory path uses, but on threads that outlive the call and are
+//!    shared by every concurrent ingest in the process. A chunk is held
+//!    until the next one is cut, so the coordinator knows the last chunk
+//!    when the input ends and decodes it itself rather than wait for a
+//!    worker: a one-chunk trace never leaves the calling thread. The
+//!    coordinator caps chunks in flight (cut but not yet merged) at
+//!    `2 × shards`, blocking on results when the budget is full, so a
 //!    slow consumer exerts backpressure on the reader instead of growing
 //!    a queue. Stalls and the high-water mark of buffered bytes are
 //!    reported in [`StreamStats`].
@@ -57,19 +61,19 @@ pub const READ_BLOCK: usize = 256 * 1024;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// High-water mark of bytes buffered by the pipeline at once: chunks
-    /// in flight (dispatched to decode workers but not yet merged) plus
-    /// the scanner's own carry. Bounded by roughly `2 × shards` chunks
-    /// plus one incomplete unit — the bound `tests/streaming_parity.rs`
-    /// asserts against a trace far larger than it.
+    /// in flight (cut but not yet merged) plus the scanner's own carry.
+    /// Bounded by roughly `2 × shards` chunks plus one incomplete unit —
+    /// the bound `tests/streaming_parity.rs` asserts against a trace far
+    /// larger than it.
     pub peak_buffered_bytes: u64,
     /// Times the reader had to wait because the full budget of in-flight
-    /// chunks was already decoding — the backpressure at work.
+    /// chunks was already taken — the backpressure at work.
     pub backpressure_stalls: u64,
     /// Total bytes read from the input.
     pub bytes_read: u64,
     /// The largest single chunk, in input bytes.
     pub max_chunk_bytes: u64,
-    /// Chunks dispatched to decode workers.
+    /// Chunks cut from the input (all but the last decoded on the pool).
     pub chunks: u64,
 }
 
@@ -145,6 +149,28 @@ struct WorkDone {
     first: (usize, u64),
     bytes: u64,
     out: Option<(ChunkOut, ShardMetrics)>,
+}
+
+/// A cut chunk waiting to be decoded, with its merge index.
+struct Cut {
+    index: usize,
+    bytes: u64,
+    chunk: OwnedChunk,
+}
+
+impl Cut {
+    /// Decodes the chunk on the current thread. A panic is caught and
+    /// degrades to `out: None`, wherever the decode runs.
+    fn decode(self, salvage: bool) -> WorkDone {
+        let out = catch_unwind(AssertUnwindSafe(|| self.chunk.decode(self.index, salvage))).ok();
+        WorkDone {
+            index: self.index,
+            units: self.chunk.len(),
+            first: self.chunk.first_position(),
+            bytes: self.bytes,
+            out,
+        }
+    }
 }
 
 /// The merge's running state: chunk-order error collection, salvage
@@ -304,9 +330,14 @@ impl Scanner {
 
 /// The coordinator's dispatch-and-merge state: chunks go out to the pool,
 /// results come back over a channel and are merged in index order. The
-/// in-flight count (dispatched − merged) is capped, which bounds both the
+/// in-flight count (cut − merged) is capped, which bounds both the
 /// transit bytes and the reorder window — the role the old per-run gate
 /// played, now without any dedicated threads.
+///
+/// The newest cut chunk is held back until the next one is cut: only
+/// then is it known not to be the last. The last chunk is decoded on the
+/// coordinator itself, which would otherwise only wait for it, so a
+/// one-chunk trace never leaves the calling thread.
 struct Engine<'p, F> {
     merger: Merger<F>,
     pool: &'p WorkerPool,
@@ -323,6 +354,8 @@ struct Engine<'p, F> {
     cap: usize,
     salvage: bool,
     stats: StreamStats,
+    /// The newest cut chunk: counted in flight, not yet decoding.
+    held: Option<Cut>,
 }
 
 impl<F: StreamFold> Engine<'_, F> {
@@ -341,6 +374,7 @@ impl<F: StreamFold> Engine<'_, F> {
             cap,
             salvage,
             stats: StreamStats::default(),
+            held: None,
         }
     }
 
@@ -363,10 +397,14 @@ impl<F: StreamFold> Engine<'_, F> {
         self.stats.peak_buffered_bytes = self.stats.peak_buffered_bytes.max(current);
     }
 
-    /// Submits every pending chunk to the pool, blocking on completed
-    /// results whenever the in-flight budget is full.
+    /// Takes in every pending chunk, blocking on completed results
+    /// whenever the in-flight budget is full. Each chunk is held until
+    /// the next one arrives and then goes to the pool.
     fn dispatch(&mut self, pending: &mut Vec<OwnedChunk>, scanner_buffered: u64) {
         for chunk in pending.drain(..) {
+            // Submitted before any wait below, so every chunk the wait
+            // counts on is already decoding.
+            self.submit_held();
             let bytes = chunk.byte_len();
             self.stats.max_chunk_bytes = self.stats.max_chunk_bytes.max(bytes);
             self.stats.chunks += 1;
@@ -382,26 +420,33 @@ impl<F: StreamFold> Engine<'_, F> {
             self.note_peak(scanner_buffered);
             let index = self.index;
             self.index += 1;
-            let units = chunk.len();
-            let first = chunk.first_position();
-            let salvage = self.salvage;
-            let tx = self.done_tx.clone();
-            self.pool.execute(Box::new(move || {
-                let out =
-                    catch_unwind(AssertUnwindSafe(|| chunk.decode(index, salvage))).ok();
-                let _ = tx.send(WorkDone {
-                    index,
-                    units,
-                    first,
-                    bytes,
-                    out,
-                });
-            }));
+            self.held = Some(Cut {
+                index,
+                bytes,
+                chunk,
+            });
         }
     }
 
-    /// Blocks until every dispatched chunk has been merged.
+    /// Sends the held chunk, if any, to the pool.
+    fn submit_held(&mut self) {
+        let Some(cut) = self.held.take() else {
+            return;
+        };
+        let salvage = self.salvage;
+        let tx = self.done_tx.clone();
+        self.pool.execute(Box::new(move || {
+            let _ = tx.send(cut.decode(salvage));
+        }));
+    }
+
+    /// Decodes the held (last) chunk on this thread, then blocks until
+    /// every chunk has been merged.
     fn drain(&mut self) {
+        if let Some(cut) = self.held.take() {
+            let done = cut.decode(self.salvage);
+            self.accept(done);
+        }
         while self.in_flight > 0 {
             let done = self.recv();
             self.accept(done);
@@ -434,7 +479,8 @@ fn read_block<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, Pipeline
 /// chunks as jobs on `pool`, and folds kept records/samples into `fold`
 /// in input order on the calling thread. Semantics (errors, salvage
 /// summary, kept set, end-time synthesis) are identical to
-/// [`crate::ingest_log`] on the same bytes, for any pool size.
+/// [`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes) on the same
+/// bytes, for any pool size.
 pub(crate) fn run<R: Read, F: StreamFold>(
     mut reader: R,
     par: &ParallelConfig,
@@ -917,6 +963,43 @@ mod tests {
         }
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0], outputs[2]);
+    }
+
+    #[test]
+    fn the_last_chunk_is_decoded_on_the_calling_thread() {
+        // (records, chunk size): one chunk; several with a partial last
+        // chunk; several with the last one cut full before the input ends
+        // (32 records + 8 samples = 5 × 8 units).
+        for (n, chunk_records) in [(10u64, 8192usize), (50, 8), (32, 8), (32, 1)] {
+            let (records, samples) = sample_records(n);
+            for format in [LogFormat::Text, LogFormat::Binary] {
+                let bytes = encode(format, &records, &samples, true);
+                for shards in [1usize, 3] {
+                    let pool = WorkerPool::new(2);
+                    let par = ParallelConfig {
+                        shards,
+                        chunk_records,
+                    };
+                    let out = run(
+                        std::io::Cursor::new(&bytes),
+                        &par,
+                        &IngestConfig::strict(),
+                        CollectFold::default(),
+                        &pool,
+                    )
+                    .expect("clean log");
+                    // Joining the workers settles the job counter.
+                    pool.shutdown();
+                    let ctx = format!("{format:?} n={n} chunk={chunk_records} shards={shards}");
+                    assert_eq!(out.fold.records, records, "{ctx}");
+                    assert!(out.stats.chunks >= 1, "{ctx}");
+                    assert_eq!(pool.jobs_run(), out.stats.chunks - 1, "{ctx}");
+                    if chunk_records == 8192 {
+                        assert_eq!(pool.jobs_run(), 0, "{ctx}: one chunk stays on the caller");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
