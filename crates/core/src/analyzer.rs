@@ -20,7 +20,9 @@ use heapdrag_vm::ids::{ChainId, SiteId};
 
 pub(crate) use crate::engine::{accumulate_shard, DragTables, PartialStats, ShardAccum};
 use crate::integrals::Integrals;
-use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
+use crate::parallel::{
+    host_parallelism, run_indexed, ParallelConfig, ParallelMetrics, ShardMetrics,
+};
 use crate::pattern::{classify_from_sums, LifetimePattern, PatternConfig, TransformKind};
 use crate::record::{ObjectRecord, RetainRecord};
 
@@ -293,8 +295,8 @@ impl DragAnalyzer {
     /// Partitions `records` (with the innermost-site resolver `innermost`,
     /// typically [`SiteTable::innermost`](heapdrag_vm::site::SiteTable::innermost))
     /// and produces the report. Sequential — the `shards = 1` special case
-    /// of [`analyze_sharded`](Self::analyze_sharded), kept separate so
-    /// resolvers need not be [`Sync`].
+    /// of [`crate::Pipeline::analyze_records`], kept separate so resolvers
+    /// need not be [`Sync`].
     pub fn analyze<F>(&self, records: &[ObjectRecord], innermost: F) -> DragReport
     where
         F: Fn(ChainId) -> Option<SiteId>,
@@ -303,29 +305,18 @@ impl DragAnalyzer {
         self.finalize(accum.derive(&innermost))
     }
 
-    /// The sharded analysis: splits `records` into
-    /// [`ParallelConfig::shards`] contiguous shards, accumulates each as a
-    /// job on the shared [`WorkerPool`](crate::serve::WorkerPool), merges
-    /// the partial groups
+    /// The sharded analysis behind [`crate::Pipeline::analyze_records`]:
+    /// splits `records` into [`ParallelConfig::shards`] contiguous shards,
+    /// accumulates each into partial per-site groups, merges the partials
     /// deterministically, and classifies the merged groups. The report is
     /// byte-identical to [`analyze`](Self::analyze) for every shard count;
     /// the returned [`ParallelMetrics`] carry per-shard record counts and
     /// timings for the bench harness.
-    #[deprecated(note = "use `Pipeline::options().shards(n).analyze_records(records, innermost)`")]
-    pub fn analyze_sharded<F>(
-        &self,
-        records: &[ObjectRecord],
-        innermost: F,
-        par: &ParallelConfig,
-    ) -> (DragReport, ParallelMetrics)
-    where
-        F: Fn(ChainId) -> Option<SiteId> + Sync,
-    {
-        self.analyze_sharded_impl(records, innermost, par)
-    }
-
-    /// The analysis engine behind [`crate::Pipeline::analyze_records`] and
-    /// the deprecated [`analyze_sharded`](Self::analyze_sharded) wrapper.
+    ///
+    /// The shards run through [`run_indexed`] on at most
+    /// `available_parallelism` threads, each claiming the next unclaimed
+    /// shard, so a shard count above the core count costs no extra
+    /// threads and each shard's metrics stay its own.
     pub(crate) fn analyze_sharded_impl<F>(
         &self,
         records: &[ObjectRecord],
@@ -354,47 +345,20 @@ impl DragAnalyzer {
         metrics.split_elapsed = split_start.elapsed();
 
         let innermost = &innermost;
-        let shard_results: Vec<(ShardAccum, ShardMetrics)> = if workers <= 1 {
+        let accumulate = |shard: usize| {
+            let slice = slices[shard];
             let t = Instant::now();
-            let accum = accumulate_shard(records, patterns);
+            let accum = accumulate_shard(slice, patterns);
             let m = ShardMetrics {
-                shard: 0,
-                records: records.len() as u64,
+                shard,
+                records: slice.len() as u64,
                 samples: 0,
                 groups: accum.group_count(innermost),
                 elapsed: t.elapsed(),
             };
-            vec![(accum, m)]
-        } else {
-            // One borrowing job per shard on the shared pool; `scope`
-            // blocks until every slot is written.
-            let mut slots: Vec<Option<(ShardAccum, ShardMetrics)>> =
-                slices.iter().map(|_| None).collect();
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .zip(slices.iter().copied())
-                .enumerate()
-                .map(|(shard, (slot, slice))| {
-                    Box::new(move || {
-                        let t = Instant::now();
-                        let accum = accumulate_shard(slice, patterns);
-                        let m = ShardMetrics {
-                            shard,
-                            records: slice.len() as u64,
-                            samples: 0,
-                            groups: accum.group_count(innermost),
-                            elapsed: t.elapsed(),
-                        };
-                        *slot = Some((accum, m));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            crate::serve::WorkerPool::shared().scope(jobs);
-            slots
-                .into_iter()
-                .map(|s| s.expect("analysis shard panicked"))
-                .collect()
+            (accum, m)
         };
+        let shard_results = run_indexed(workers, host_parallelism(), accumulate);
 
         let merge_start = Instant::now();
         let mut merged = ShardAccum::default();

@@ -65,8 +65,8 @@ use crate::log::{ErrorCode, LogError};
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 
 use super::{
-    frame_checksum, normalize_chain_name, read_varint, write_varint, Chunk, ChunkOut, FrameMeta,
-    OwnedChunk, OwnedFrames, ScanOutput, StreamScanState, TraceSink,
+    frame_checksum, normalize_chain_name, read_varint, write_varint, ChunkOut, FrameMeta,
+    OwnedChunk, OwnedFrames, StreamScanState, TraceSink,
 };
 
 /// The eight magic bytes every HDLOG v2 file starts with.
@@ -170,7 +170,10 @@ impl<W: Write> TraceSink for BinarySink<W> {
     }
 }
 
-/// One raw frame with its byte extent, as cut by [`scan`].
+/// One raw frame with its byte extent: the view the checksum check and
+/// the payload decoders read. The [`StreamScanner`] builds it for the
+/// `chain`/`end` frames it decodes in place, [`parse_chunk`] for each
+/// frame of a chunk.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawFrame<'a> {
     /// 1-based frame number (reported as the error `line`).
@@ -283,6 +286,8 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The checked `obj` decoder, the fallback behind [`decode_obj_fast`].
+#[inline(never)]
 fn decode_obj(f: &RawFrame<'_>) -> Result<ObjectRecord, LogError> {
     let mut p = Fields::new(f);
     let object = ObjectId(p.u64_field("object id")?);
@@ -313,6 +318,7 @@ fn decode_obj(f: &RawFrame<'_>) -> Result<ObjectRecord, LogError> {
     Ok(record)
 }
 
+#[inline(never)]
 fn decode_gc(f: &RawFrame<'_>) -> Result<GcSample, LogError> {
     let mut p = Fields::new(f);
     let sample = GcSample {
@@ -324,6 +330,7 @@ fn decode_gc(f: &RawFrame<'_>) -> Result<GcSample, LogError> {
     Ok(sample)
 }
 
+#[inline(never)]
 fn decode_retain(f: &RawFrame<'_>) -> Result<RetainRecord, LogError> {
     let mut p = Fields::new(f);
     let alloc_site = ChainId(p.u32_field("alloc chain")?);
@@ -398,6 +405,7 @@ impl Varints<'_> {
 /// payload [`decode_obj`] would reject; that decoder then runs and stays
 /// the only source of errors. Whenever this returns a record,
 /// [`decode_obj`] returns the same one.
+#[inline(never)]
 fn decode_obj_fast(payload: &[u8]) -> Option<ObjectRecord> {
     let mut p = Varints { payload, pos: 0 };
     let object = ObjectId(p.next()?);
@@ -431,17 +439,20 @@ fn decode_obj_fast(payload: &[u8]) -> Option<ObjectRecord> {
 /// In strict mode the first bad frame ends the chunk; in salvage mode bad
 /// frames are dropped and counted, and decoding continues — framing is
 /// already settled, so a bad frame never takes its neighbours with it.
-pub(crate) fn parse_chunk<'a>(
-    frames: impl ExactSizeIterator<Item = RawFrame<'a>>,
-    chunk: usize,
-    salvage: bool,
-) -> ChunkOut {
+pub(crate) fn parse_chunk(frames: &OwnedFrames, chunk: usize, salvage: bool) -> ChunkOut {
     let mut out = ChunkOut {
-        records: Vec::with_capacity(frames.len()),
+        records: Vec::with_capacity(frames.metas.len()),
         ..ChunkOut::default()
     };
-    for f in frames {
-        let f = &f;
+    for m in &frames.metas {
+        let f = &RawFrame {
+            frame: m.frame,
+            byte: m.byte,
+            len: m.len,
+            tag: m.tag,
+            payload: &frames.buf[m.start..m.end],
+            crc: m.crc,
+        };
         let result = f.verify().and_then(|()| match f.tag {
             TAG_OBJ => decode_obj_fast(f.payload)
                 .map_or_else(|| decode_obj(f), Ok)
@@ -464,169 +475,14 @@ pub(crate) fn parse_chunk<'a>(
     out
 }
 
-/// The binary codec's scan pass: walk the frame stream once on the
-/// coordinating thread, hopping from length prefix to length prefix — no
-/// delimiter search. `chain`/`end` frames are verified and decoded in
-/// place; `obj`/`gc`/`retain` frames are batched into chunks of
-/// `chunk_records` frames for the worker pool, checksums deferred to the
-/// workers.
-///
-/// Framing-destroying faults (undecodable length prefix, truncation) end
-/// the scan: strict aborts, salvage keeps the intact prefix and counts
-/// the remainder as skipped. A complete frame with an unknown tag is
-/// skipped frame-by-frame (`E003`) — the envelope still walks. Payload-
-/// level faults in `chain`/`end` frames drop just that frame.
-pub(crate) fn scan(bytes: &[u8], salvage: bool, chunk_records: usize) -> ScanOutput<'_> {
-    let mut out = ScanOutput::new();
-    let mut chunks: Vec<Vec<RawFrame<'_>>> = Vec::new();
-    let mut current: Vec<RawFrame<'_>> = Vec::new();
-    let mut n = 0usize;
-
-    // The caller dispatched here on the magic, but scan() re-checks so it
-    // is safe on any byte slice (fuzzed inputs included).
-    let mut pos = if bytes.starts_with(&MAGIC) {
-        MAGIC.len()
-    } else {
-        let e = LogError::new(
-            ErrorCode::BadHeader,
-            1,
-            "input does not start with the HDLOG v2 magic".into(),
-        );
-        out.note(e, bytes.len() as u64, salvage);
-        out.next_position = (2, bytes.len() as u64);
-        return out;
-    };
-
-    while pos < bytes.len() {
-        n += 1;
-        let start = pos;
-        let remaining = (bytes.len() - start) as u64;
-        let tag = bytes[start];
-        let (payload_len, len_used) = match read_varint(&bytes[start + 1..]) {
-            Some(v) => v,
-            None => {
-                // A varint that dies within 10 available bytes is corrupt;
-                // one that runs off the end of the input is a torn write.
-                let (code, what) = if bytes.len() - (start + 1) >= 10 {
-                    (ErrorCode::BadFieldValue, "corrupt frame length prefix")
-                } else {
-                    (ErrorCode::TornTail, "input ends inside a frame length prefix")
-                };
-                let mut e = LogError::new(code, n, format!("{what}; dropping the rest of the input"));
-                e.byte = start as u64;
-                out.note(e, remaining, salvage);
-                break;
-            }
-        };
-        let header = 1 + len_used as u64;
-        let frame_total = match payload_len
-            .checked_add(header)
-            .and_then(|v| v.checked_add(2))
-        {
-            Some(total) if total <= remaining => total,
-            _ => {
-                let mut e = LogError::new(
-                    ErrorCode::TornTail,
-                    n,
-                    format!(
-                        "input ends inside frame {n} (payload length {payload_len}, {} byte(s) left)",
-                        remaining.saturating_sub(header)
-                    ),
-                );
-                e.byte = start as u64;
-                out.note(e, remaining, salvage);
-                break;
-            }
-        };
-        let payload_start = start + header as usize;
-        let payload_end = payload_start + payload_len as usize;
-        let frame = RawFrame {
-            frame: n,
-            byte: start as u64,
-            len: frame_total,
-            tag,
-            payload: &bytes[payload_start..payload_end],
-            crc: u16::from_le_bytes([bytes[payload_end], bytes[payload_end + 1]]),
-        };
-        pos = start + frame_total as usize;
-
-        match tag {
-            TAG_OBJ | TAG_GC | TAG_RETAIN => {
-                current.push(frame);
-                if current.len() >= chunk_records {
-                    chunks.push(std::mem::take(&mut current));
-                }
-            }
-            TAG_END => {
-                let result = frame.verify().and_then(|()| {
-                    let mut p = Fields::new(&frame);
-                    let t = p.u64_field("end time")?;
-                    p.finish()?;
-                    Ok(t)
-                });
-                match result {
-                    Ok(t) => {
-                        out.end_time = t;
-                        out.saw_end = true;
-                    }
-                    Err(mut e) => {
-                        e.byte = frame.byte;
-                        if out.note(e, frame.len, salvage) {
-                            break;
-                        }
-                    }
-                }
-            }
-            TAG_CHAIN => {
-                let result = frame.verify().and_then(|()| {
-                    let mut p = Fields::new(&frame);
-                    let id = p.u32_field("chain id")?;
-                    let name = &frame.payload[p.pos..];
-                    Ok((id, normalize_chain_name(&String::from_utf8_lossy(name))))
-                });
-                match result {
-                    Ok((id, name)) => {
-                        out.chain_names.insert(ChainId(id), name);
-                    }
-                    Err(mut e) => {
-                        e.byte = frame.byte;
-                        if out.note(e, frame.len, salvage) {
-                            break;
-                        }
-                    }
-                }
-            }
-            _ => {
-                // Unknown tag, but the length prefix walked to the next
-                // frame: skip exactly this frame (forward compatibility).
-                let mut e = LogError::new(
-                    ErrorCode::UnknownDirective,
-                    n,
-                    format!("unknown frame tag {tag:#04x}; skipping one frame"),
-                );
-                e.byte = frame.byte;
-                if out.note(e, frame.len, salvage) {
-                    break;
-                }
-            }
-        }
-    }
-    if !current.is_empty() {
-        chunks.push(current);
-    }
-    out.chunks = chunks.into_iter().map(Chunk::Frames).collect();
-    out.next_position = (n + 1, bytes.len() as u64);
-    out
-}
-
 /// The largest claimed payload the incremental scanner will buffer while
 /// waiting for the rest of a frame. Real frames are tens of bytes; a
 /// claim beyond this bound is corruption, and buffering it would let a
 /// three-byte length prefix demand gigabytes of memory. Past the bound
 /// the scanner stops buffering, counts the remaining input, and reports
-/// the frame as a torn tail at end-of-stream. (The one divergence from
-/// the in-memory scan: a *legitimate* frame larger than this would have
-/// decoded there — no real trace contains one.)
+/// the frame as a torn tail at end-of-stream. A *legitimate* frame larger
+/// than this would be rejected the same way; no real trace contains one,
+/// since the largest frames are chain names and retain paths.
 const MAX_BUFFERED_FRAME: u64 = 64 * 1024 * 1024;
 
 /// Why the incremental scanner stopped walking frames before
@@ -648,11 +504,21 @@ enum StallKind {
     },
 }
 
-/// The incremental counterpart of [`scan`]: fed arbitrary byte blocks,
-/// it walks the frame stream across block boundaries, holding only the
-/// current incomplete frame, and replays the exact error classification
-/// of the in-memory scan — including the E005-vs-E007 distinction for a
-/// length prefix that is corrupt versus merely truncated.
+/// The binary codec's scan: one walk over the frame stream on the
+/// coordinating thread, hopping from length prefix to length prefix — no
+/// delimiter search. Fed arbitrary byte blocks, it walks across block
+/// boundaries holding only the current incomplete frame. `chain`/`end`
+/// frames are verified and decoded in place; `obj`/`gc`/`retain` frames
+/// are batched into chunks of `chunk_records` frames for the decoders,
+/// checksums deferred to them.
+///
+/// Framing-destroying faults (undecodable length prefix, truncation) end
+/// the walk: strict aborts, salvage keeps the intact prefix and counts
+/// the remainder as skipped. A length prefix still undecodable with ten
+/// bytes in hand is corrupt (`E005`); one cut off by the end of input is
+/// a torn write (`E007`). A complete frame with an unknown tag is skipped
+/// frame-by-frame (`E003`) — the envelope still walks. Payload-level
+/// faults in `chain`/`end` frames drop just that frame.
 #[derive(Debug)]
 pub(crate) struct StreamScanner {
     chunk_records: usize,
@@ -905,8 +771,9 @@ impl StreamScanner {
                     }
                 }
                 _ => {
-                    // Mirrors the batch scan: a complete frame with an
-                    // unknown tag is skipped on its own.
+                    // Unknown tag, but the length prefix walked to the
+                    // next frame: skip exactly this frame (forward
+                    // compatibility).
                     let mut e = LogError::new(
                         ErrorCode::UnknownDirective,
                         self.n,
@@ -922,10 +789,9 @@ impl StreamScanner {
         self.base += off as u64;
     }
 
-    /// End-of-input reached with a frame still open: the torn-tail
-    /// classification of the in-memory scan. (The corrupt-prefix case is
-    /// impossible here — `scan_buf` flags it as soon as ten bytes are in
-    /// hand.)
+    /// End-of-input reached with a frame still open: a torn tail. (The
+    /// corrupt-prefix case is impossible here — `scan_buf` flags it as
+    /// soon as ten bytes are in hand.)
     fn classify_tail(&mut self) {
         let start_abs = self.base;
         let remaining = self.total - start_abs;
@@ -1009,19 +875,23 @@ mod tests {
         buf
     }
 
-    fn decode_all(bytes: &[u8], salvage: bool) -> (ScanOutput<'_>, ChunkOut) {
-        let scan_out = scan(bytes, salvage, 8192);
-        let mut all = ChunkOut::default();
-        for (i, chunk) in scan_out.chunks.iter().enumerate() {
-            let (out, _) = chunk.decode(i, salvage);
-            all.records.extend(out.records);
-            all.samples.extend(out.samples);
-            all.retains.extend(out.retains);
-            all.errors.extend(out.errors);
-            all.units_dropped += out.units_dropped;
-            all.bytes_skipped += out.bytes_skipped;
+    /// Scans `bytes` fed whole and decodes every chunk: the scan state
+    /// and the concatenated decode output.
+    fn decode_all(bytes: &[u8], salvage: bool) -> (StreamScanState, ChunkOut) {
+        let (scanner, out, _) = stream_scan(bytes, salvage, 8192, bytes.len());
+        (scanner.state, out)
+    }
+
+    /// The first chunk the scanner cuts from a clean log fed whole.
+    fn first_chunk(bytes: &[u8]) -> OwnedFrames {
+        let mut scanner = StreamScanner::new(false, 8192);
+        let mut chunks = Vec::new();
+        scanner.feed(bytes, &mut chunks);
+        scanner.finish(&mut chunks);
+        match chunks.into_iter().next() {
+            Some(OwnedChunk::Frames(frames)) => frames,
+            other => panic!("expected a frame chunk, got {other:?}"),
         }
-        (scan_out, all)
     }
 
     #[test]
@@ -1082,12 +952,7 @@ mod tests {
         // byte of the first obj frame instead. Find it: it's the frame
         // after the chain frame. Easier: flip one byte in the middle and
         // verify salvage still returns the other record.
-        let scan_clean = scan(&bytes, false, 8192);
-        let first_obj_byte = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0].byte as usize,
-            _ => unreachable!(),
-        };
-        drop(scan_clean);
+        let first_obj_byte = first_chunk(&bytes).metas[0].byte as usize;
         // Flip a payload byte (skip tag + 1-byte length prefix).
         bytes[first_obj_byte + 2] ^= 0x20;
         let (s, out) = decode_all(&bytes, true);
@@ -1126,13 +991,8 @@ mod tests {
     #[test]
     fn unknown_tag_skips_one_frame() {
         let mut bytes = sample_log();
-        let scan_clean = scan(&bytes, false, 8192);
-        let first_obj = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0],
-            _ => unreachable!(),
-        };
+        let first_obj = first_chunk(&bytes).metas[0];
         let (obj_byte, obj_len) = (first_obj.byte as usize, first_obj.len);
-        drop(scan_clean);
         bytes[obj_byte] = 0x7f;
         // Salvage: the envelope still walks, so exactly one frame is lost.
         let (s, out) = decode_all(&bytes, true);
@@ -1159,12 +1019,7 @@ mod tests {
         // inserted mid-stream: this reader skips it and keeps everything
         // else — the forward-compatibility contract for new frame kinds.
         let bytes = sample_log();
-        let scan_clean = scan(&bytes, false, 8192);
-        let first_obj_byte = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0].byte as usize,
-            _ => unreachable!(),
-        };
-        drop(scan_clean);
+        let first_obj_byte = first_chunk(&bytes).metas[0].byte as usize;
         let mut future = Vec::new();
         future.push(0x06);
         let payload = b"opaque future payload";
@@ -1194,12 +1049,7 @@ mod tests {
     #[test]
     fn bad_length_prefix_is_classified_by_cause() {
         let bytes = sample_log();
-        let scan_clean = scan(&bytes, false, 8192);
-        let obj_byte = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0].byte as usize,
-            _ => unreachable!(),
-        };
-        drop(scan_clean);
+        let obj_byte = first_chunk(&bytes).metas[0].byte as usize;
         // Claim a payload far larger than the input: torn-tail territory.
         let mut huge = bytes[..obj_byte + 1].to_vec();
         huge.extend_from_slice(&[0xff, 0xff, 0x7f]); // ~2 MiB length
@@ -1215,7 +1065,7 @@ mod tests {
 
     #[test]
     fn missing_magic_is_a_bad_header() {
-        let s = scan(b"heapdrag-log v1\n", false, 8192);
+        let (s, _) = decode_all(b"heapdrag-log v1\n", false);
         assert_eq!(s.errors[0].code, ErrorCode::BadHeader);
     }
 
@@ -1246,29 +1096,22 @@ mod tests {
         (scanner, all, chunks.len())
     }
 
-    /// Asserts the incremental scanner agrees with the batch scan on
-    /// `bytes` for every combination of mode, chunk size, and feed size.
+    /// Asserts the incremental scanner fed `bytes` in small blocks agrees
+    /// with the same scanner fed the whole input at once, for every
+    /// combination of mode, chunk size, and feed size.
     fn assert_stream_matches_batch(bytes: &[u8], label: &str) {
         for salvage in [false, true] {
             for chunk_records in [1, 3, 8192] {
-                let want = scan(bytes, salvage, chunk_records);
-                let mut want_out = ChunkOut::default();
-                for (i, chunk) in want.chunks.iter().enumerate() {
-                    let (out, _) = chunk.decode(i, salvage);
-                    want_out.records.extend(out.records);
-                    want_out.samples.extend(out.samples);
-                    want_out.retains.extend(out.retains);
-                    want_out.errors.extend(out.errors);
-                    want_out.units_dropped += out.units_dropped;
-                    want_out.bytes_skipped += out.bytes_skipped;
-                }
+                let (want, want_out, want_chunks) =
+                    stream_scan(bytes, salvage, chunk_records, bytes.len());
+                let want = want.state;
                 for feed in [1, 2, 3, 7, 64, 4096] {
                     let ctx = format!(
                         "{label}: salvage={salvage} chunk_records={chunk_records} feed={feed}"
                     );
                     let (scanner, got_out, got_chunks) =
                         stream_scan(bytes, salvage, chunk_records, feed);
-                    assert_eq!(want.chunks.len(), got_chunks, "{ctx}: chunk count");
+                    assert_eq!(want_chunks, got_chunks, "{ctx}: chunk count");
                     assert_eq!(want_out.records, got_out.records, "{ctx}: records");
                     assert_eq!(want_out.samples, got_out.samples, "{ctx}: samples");
                     assert_eq!(want_out.retains, got_out.retains, "{ctx}: retains");
@@ -1284,6 +1127,161 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The scanner's outcome on `bytes` fed whole, in one line: scan-level
+    /// errors and decode errors (each `code@frame:byte`). In salvage mode
+    /// also the kept records/samples/retains, drops and skipped bytes
+    /// (scan + decode), `next_position` and the end marker.
+    fn outcome(bytes: &[u8], salvage: bool) -> String {
+        let (s, out) = decode_all(bytes, salvage);
+        let at = |e: &LogError| format!("{}@{}:{}", e.code, e.line, e.byte);
+        let scan: Vec<String> = s.errors.iter().map(at).collect();
+        let decode: Vec<String> = out.errors.iter().map(at).collect();
+        let errors = format!("scan [{}] decode [{}]", scan.join(" "), decode.join(" "));
+        if !salvage {
+            return errors;
+        }
+        format!(
+            "{errors} kept {}/{}/{} dropped {}+{} skipped {}+{} next {}:{} end {}",
+            out.records.len(),
+            out.samples.len(),
+            out.retains.len(),
+            s.units_dropped,
+            out.units_dropped,
+            s.bytes_skipped,
+            out.bytes_skipped,
+            s.next_position.0,
+            s.next_position.1,
+            if s.saw_end { s.end_time.to_string() } else { "-".into() },
+        )
+    }
+
+    /// `sample_log` with one fault applied per rung of the frame walk:
+    /// magic, length prefix, tag, checksum (record and in-place frames),
+    /// torn tails and the over-cap claim.
+    fn fault_cases() -> Vec<(&'static str, Vec<u8>)> {
+        let clean = sample_log();
+        // The chain frame follows the magic; the first obj frame follows it.
+        let (chain_len, used) = read_varint(&clean[MAGIC.len() + 1..]).unwrap();
+        let obj = MAGIC.len() + 1 + used + chain_len as usize + 2;
+        let with = |at: usize, f: fn(&mut u8)| {
+            let mut b = clean.clone();
+            f(&mut b[at]);
+            b
+        };
+        let prefixed = |tail: &[u8]| {
+            let mut b = clean[..obj + 1].to_vec();
+            b.extend_from_slice(tail);
+            b
+        };
+        let mut future = clean[..obj].to_vec();
+        let payload = b"opaque future payload";
+        future.push(0x06);
+        write_varint(&mut future, payload.len() as u64);
+        future.extend_from_slice(payload);
+        future.extend_from_slice(&frame_checksum(0x06, payload).to_le_bytes());
+        future.extend_from_slice(&clean[obj..]);
+        let mut over_cap = Vec::new();
+        write_varint(&mut over_cap, MAX_BUFFERED_FRAME + 1);
+        over_cap.extend_from_slice(&[0u8; 16]);
+        vec![
+            ("clean", clean.clone()),
+            ("unknown tag", with(obj, |b| *b = 0x7f)),
+            ("obj checksum", with(obj + 2, |b| *b ^= 0x20)),
+            ("chain checksum", with(MAGIC.len() + 3, |b| *b ^= 0x20)),
+            ("end checksum", with(clean.len() - 1, |b| *b ^= 0x20)),
+            ("future tag", future),
+            ("huge claim", prefixed(&[0xff, 0xff, 0x7f, 0, 0, 0, 0])),
+            ("corrupt prefix", prefixed(&[0x80; 12])),
+            ("torn prefix", prefixed(&[0x80; 3])),
+            ("over-cap claim", prefixed(&over_cap)),
+            ("torn end frame", clean[..clean.len() - 5].to_vec()),
+            ("text input", b"heapdrag-log v1\n".to_vec()),
+            ("short bad prefix", b"\x89HDL".to_vec()),
+        ]
+    }
+
+    /// Fixed outcomes for each fault in [`fault_cases`], strict then
+    /// salvage. The feed-size tests compare the scanner with itself;
+    /// these pin what it decides: frame 1 is the chain frame at byte 8,
+    /// frame 2 the first `obj` frame at byte 36, frame 6 the `end` frame.
+    #[test]
+    fn scanner_outcomes_are_fixed_on_each_fault() {
+        let want: &[(&str, &str, &str)] = &[
+            (
+                "clean",
+                "scan [] decode []",
+                "scan [] decode [] kept 2/1/1 dropped 0+0 skipped 0+0 next 7:146 end 1000",
+            ),
+            (
+                "unknown tag",
+                "scan [E003@2:36] decode []",
+                "scan [E003@2:36] decode [] kept 1/1/1 dropped 1+0 skipped 18+0 next 7:146 end 1000",
+            ),
+            (
+                "obj checksum",
+                "scan [] decode [E011@2:36]",
+                "scan [] decode [E011@2:36] kept 1/1/1 dropped 0+1 skipped 0+18 next 7:146 end 1000",
+            ),
+            (
+                "chain checksum",
+                "scan [E011@1:8] decode []",
+                "scan [E011@1:8] decode [] kept 2/1/1 dropped 1+0 skipped 28+0 next 7:146 end 1000",
+            ),
+            (
+                "end checksum",
+                "scan [E011@6:140] decode []",
+                "scan [E011@6:140] decode [] kept 2/1/1 dropped 1+0 skipped 6+0 next 7:146 end -",
+            ),
+            (
+                "future tag",
+                "scan [E003@2:36] decode []",
+                "scan [E003@2:36] decode [] kept 2/1/1 dropped 1+0 skipped 25+0 next 8:171 end 1000",
+            ),
+            (
+                "huge claim",
+                "scan [E007@2:36] decode []",
+                "scan [E007@2:36] decode [] kept 0/0/0 dropped 1+0 skipped 8+0 next 3:44 end -",
+            ),
+            (
+                "corrupt prefix",
+                "scan [E005@2:36] decode []",
+                "scan [E005@2:36] decode [] kept 0/0/0 dropped 1+0 skipped 13+0 next 3:49 end -",
+            ),
+            (
+                "torn prefix",
+                "scan [E007@2:36] decode []",
+                "scan [E007@2:36] decode [] kept 0/0/0 dropped 1+0 skipped 4+0 next 3:40 end -",
+            ),
+            (
+                "over-cap claim",
+                "scan [E007@2:36] decode []",
+                "scan [E007@2:36] decode [] kept 0/0/0 dropped 1+0 skipped 21+0 next 3:57 end -",
+            ),
+            (
+                "torn end frame",
+                "scan [E007@6:140] decode []",
+                "scan [E007@6:140] decode [] kept 2/1/1 dropped 1+0 skipped 1+0 next 7:141 end -",
+            ),
+            (
+                "text input",
+                "scan [E002@1:0] decode []",
+                "scan [E002@1:0] decode [] kept 0/0/0 dropped 1+0 skipped 16+0 next 2:16 end -",
+            ),
+            (
+                "short bad prefix",
+                "scan [E002@1:0] decode []",
+                "scan [E002@1:0] decode [] kept 0/0/0 dropped 1+0 skipped 4+0 next 2:4 end -",
+            ),
+        ];
+        let cases = fault_cases();
+        assert_eq!(cases.len(), want.len());
+        for ((label, log), &(want_label, strict, salvage)) in cases.iter().zip(want) {
+            assert_eq!(*label, want_label);
+            assert_eq!(outcome(log, false), strict, "strict: {label}");
+            assert_eq!(outcome(log, true), salvage, "salvage: {label}");
         }
     }
 
@@ -1303,12 +1301,7 @@ mod tests {
     #[test]
     fn incremental_scan_matches_batch_on_faults() {
         let bytes = sample_log();
-        let scan_clean = scan(&bytes, false, 8192);
-        let first_obj_byte = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0].byte as usize,
-            _ => unreachable!(),
-        };
-        drop(scan_clean);
+        let first_obj_byte = first_chunk(&bytes).metas[0].byte as usize;
 
         // Unknown tag: framing lost.
         let mut unknown = bytes.clone();
@@ -1342,12 +1335,7 @@ mod tests {
         // not buffer the claim; it reports E007 with the true leftover
         // count once the input ends.
         let bytes = sample_log();
-        let scan_clean = scan(&bytes, false, 8192);
-        let first_obj_byte = match &scan_clean.chunks[0] {
-            Chunk::Frames(frames) => frames[0].byte as usize,
-            _ => unreachable!(),
-        };
-        drop(scan_clean);
+        let first_obj_byte = first_chunk(&bytes).metas[0].byte as usize;
         let mut input = bytes[..first_obj_byte + 1].to_vec();
         let mut prefix = Vec::new();
         write_varint(&mut prefix, MAX_BUFFERED_FRAME + 1);
@@ -1367,10 +1355,10 @@ mod tests {
             "message `{}` must count the true leftover",
             e.message
         );
-        // The in-memory scan classifies this identically (the claim also
-        // exceeds that input's length).
-        let batch = scan(&input, true, 8192);
-        assert_eq!(batch.errors.last().unwrap(), e);
+        // The scanner fed the whole input at once classifies this
+        // identically (the claim also exceeds that input's length).
+        let (whole, _) = decode_all(&input, true);
+        assert_eq!(whole.errors.last().unwrap(), e);
     }
 
     /// One seeded edit of an `obj` payload: a testkit payload-byte flip,
@@ -1428,11 +1416,9 @@ mod tests {
                 sink.begin().unwrap();
                 sink.record(&record).unwrap();
             }
-            let frame = scan(&log, false, 8192).chunks.pop().map(|c| match c {
-                Chunk::Frames(frames) => frames[0],
-                Chunk::Lines(_) => unreachable!(),
-            });
-            let clean = frame.expect("one obj frame").payload.to_vec();
+            let frames = first_chunk(&log);
+            let m = frames.metas[0];
+            let clean = frames.buf[m.start..m.end].to_vec();
             assert_eq!(decode_obj_fast(&clean), Some(record));
 
             let mut payload = clean;

@@ -11,14 +11,14 @@
 //!   checksum) that is substantially smaller on disk and faster to decode,
 //!   and whose frames shard on length prefixes instead of newline scans.
 //!
-//! Both formats decode through the same ingest engines — in memory
-//! ([`crate::Pipeline::ingest_bytes`]) and streaming ([`crate::stream`]):
+//! Both formats decode through the one ingest engine, [`crate::stream`]:
 //! the same strict/salvage semantics, the same `E0xx` error taxonomy, and
 //! byte-identical analyzer reports for the same run — for every shard
-//! count. The codec-specific pieces are the *scan* (walk the input once
-//! on the coordinating thread, batching record payloads into `Chunk`s at
-//! line or frame boundaries) and the *chunk decode* (run on worker
-//! threads, and on the coordinator for a stream's last chunk).
+//! count. The codec-specific pieces are the *incremental scanner*
+//! (`StreamScanner`: fed the input block by block on the coordinating
+//! thread, it batches record payloads into `OwnedChunk`s at line or
+//! frame boundaries) and the *chunk decode* (run on pool workers, and on
+//! the coordinator for a stream's last chunk).
 //!
 //! # Fast path and fallback
 //!
@@ -39,6 +39,11 @@
 //! the fast path returns a record, the fallback returns the same one.
 //! Property tests in both codecs hold the pair to that over
 //! fault-mutated records.
+//!
+//! The per-record decoders, fast and checked, are `#[inline(never)]`.
+//! Each codec's `parse_chunk` is their one caller, and inlined into it
+//! they made heapbench's `report` operation about 7% slower on a 2-core
+//! host.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -262,72 +267,6 @@ pub(crate) struct ChunkOut {
     pub(crate) bytes_skipped: u64,
 }
 
-/// One parse work-unit: a batch of record-bearing lines (text) or frames
-/// (binary), cut at line/frame boundaries by the scan so workers never
-/// search the input for delimiters.
-#[derive(Debug)]
-pub(crate) enum Chunk<'a> {
-    /// Text `obj`/`gc`/`retain` lines.
-    Lines(Vec<text::RawLine<'a>>),
-    /// Binary `obj`/`gc`/`retain` frames.
-    Frames(Vec<binary::RawFrame<'a>>),
-}
-
-impl Chunk<'_> {
-    /// Units (lines or frames) in the chunk. Chunks are never empty.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Chunk::Lines(lines) => lines.len(),
-            Chunk::Frames(frames) => frames.len(),
-        }
-    }
-
-    /// (line-or-frame number, byte offset) of the chunk's first unit.
-    pub(crate) fn first_position(&self) -> (usize, u64) {
-        match self {
-            Chunk::Lines(lines) => {
-                let first = lines.first().expect("chunks are never empty");
-                (first.line, first.byte)
-            }
-            Chunk::Frames(frames) => {
-                let first = frames.first().expect("chunks are never empty");
-                (first.frame, first.byte)
-            }
-        }
-    }
-
-    /// Total raw bytes covered by the chunk's units.
-    pub(crate) fn byte_len(&self) -> u64 {
-        match self {
-            Chunk::Lines(lines) => lines.iter().map(|l| l.len).sum(),
-            Chunk::Frames(frames) => frames.iter().map(|f| f.len).sum(),
-        }
-    }
-
-    /// Decodes the chunk, timing the decode and counting what it produced.
-    pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
-        timed_decode(index, || match self {
-            Chunk::Lines(lines) => text::parse_chunk(lines.iter().copied(), index, salvage),
-            Chunk::Frames(frames) => binary::parse_chunk(frames.iter().copied(), index, salvage),
-        })
-    }
-}
-
-/// The one decode body behind [`Chunk::decode`] and [`OwnedChunk::decode`]:
-/// runs `decode`, timing it and counting what it produced.
-fn timed_decode(index: usize, decode: impl FnOnce() -> ChunkOut) -> (ChunkOut, ShardMetrics) {
-    let t = Instant::now();
-    let out = decode();
-    let m = ShardMetrics {
-        shard: index,
-        records: out.records.len() as u64,
-        samples: out.samples.len() as u64,
-        groups: 0,
-        elapsed: t.elapsed(),
-    };
-    (out, m)
-}
-
 /// One record-bearing line batched by the text [`text::StreamScanner`]:
 /// where it sat in the input plus its extent in the owning
 /// [`OwnedLines::buf`].
@@ -335,8 +274,8 @@ fn timed_decode(index: usize, decode: impl FnOnce() -> ChunkOut) -> (ChunkOut, S
 pub(crate) struct LineMeta {
     /// 1-based line number.
     pub(crate) line: usize,
-    /// Byte offset of the line start (in lossy-decoded coordinates, like
-    /// the in-memory scan).
+    /// Byte offset of the line start, in lossy-decoded coordinates (each
+    /// invalid UTF-8 run counts as the three bytes of U+FFFD).
     pub(crate) byte: u64,
     /// Raw byte length, terminator included.
     pub(crate) len: u64,
@@ -389,11 +328,12 @@ pub(crate) struct OwnedFrames {
     pub(crate) metas: Vec<FrameMeta>,
 }
 
-/// The owned counterpart of [`Chunk`], produced by the incremental
-/// scanners behind [`crate::stream`]. Decoding walks `RawLine`/`RawFrame`
-/// views over the owned buffer through the *same* `parse_chunk` as the
-/// in-memory path — which is what makes the two paths agree error for
-/// error.
+/// One parse work-unit: a batch of record-bearing lines (text) or frames
+/// (binary), cut at line/frame boundaries by the incremental scanners
+/// behind [`crate::stream`] so decoders never search for delimiters. The
+/// units are copied out of the read block, so the chunk can cross a
+/// channel to a pool worker. Each codec's `parse_chunk` decodes it in
+/// place, unit by unit, from the metas and the owned buffer.
 #[derive(Debug)]
 pub(crate) enum OwnedChunk {
     /// Text `obj`/`gc`/`retain` lines.
@@ -437,39 +377,29 @@ impl OwnedChunk {
     }
 
     /// Decodes the chunk, timing the decode and counting what it
-    /// produced: the same per-unit decoders as [`Chunk::decode`], fed
-    /// views over the owned buffer.
+    /// produced.
     pub(crate) fn decode(&self, index: usize, salvage: bool) -> (ChunkOut, ShardMetrics) {
-        timed_decode(index, || match self {
-            OwnedChunk::Lines(c) => {
-                let lines = c.metas.iter().map(|m| text::RawLine {
-                    line: m.line,
-                    byte: m.byte,
-                    len: m.len,
-                    text: &c.buf[m.start..m.end],
-                    terminated: true,
-                });
-                text::parse_chunk(lines, index, salvage)
-            }
-            OwnedChunk::Frames(c) => {
-                let frames = c.metas.iter().map(|m| binary::RawFrame {
-                    frame: m.frame,
-                    byte: m.byte,
-                    len: m.len,
-                    tag: m.tag,
-                    payload: &c.buf[m.start..m.end],
-                    crc: m.crc,
-                });
-                binary::parse_chunk(frames, index, salvage)
-            }
-        })
+        let t = Instant::now();
+        let out = match self {
+            OwnedChunk::Lines(c) => text::parse_chunk(c, index, salvage),
+            OwnedChunk::Frames(c) => binary::parse_chunk(c, index, salvage),
+        };
+        let m = ShardMetrics {
+            shard: index,
+            records: out.records.len() as u64,
+            samples: out.samples.len() as u64,
+            groups: 0,
+            elapsed: t.elapsed(),
+        };
+        (out, m)
     }
 }
 
 /// Shared state accumulated by the incremental scanners
-/// ([`text::StreamScanner`], [`binary::StreamScanner`]): the streaming
-/// counterpart of [`ScanOutput`], minus the chunks, which are handed off
-/// to workers as they fill instead of piling up.
+/// ([`text::StreamScanner`], [`binary::StreamScanner`]): the shared
+/// state parsed in place (chain table, end marker) and the scan-level
+/// errors and drop counts. The chunks are not kept here; they are handed
+/// off to the decoders as they fill.
 #[derive(Debug)]
 pub(crate) struct StreamScanState {
     /// Chain-name table entries seen so far.
@@ -488,7 +418,7 @@ pub(crate) struct StreamScanState {
     /// `finish`.
     pub(crate) next_position: (usize, u64),
     /// Latched by the first scan-level error in strict mode; the reader
-    /// should stop feeding (the in-memory scan breaks at the same point).
+    /// should stop feeding.
     pub(crate) aborted: bool,
     salvage: bool,
 }
@@ -513,9 +443,9 @@ impl StreamScanState {
         self.salvage
     }
 
-    /// Records a scan-level error over `raw_len` input bytes; mirrors
-    /// [`ScanOutput::note`], with the strict-mode abort latched instead
-    /// of returned.
+    /// Records a scan-level error over `raw_len` input bytes. In salvage
+    /// mode the unit is counted as dropped and the scan continues; in
+    /// strict mode the abort is latched.
     pub(crate) fn note(&mut self, e: LogError, raw_len: u64) {
         self.errors.push(e);
         if self.salvage {
@@ -523,59 +453,6 @@ impl StreamScanState {
             self.bytes_skipped += raw_len;
         } else {
             self.aborted = true;
-        }
-    }
-}
-
-/// Everything a codec's scan pass hands back to the shared ingest engine:
-/// the record chunks for the worker pool, the shared state parsed in place
-/// (chain table, end marker), and the scan-level errors and drop counts.
-#[derive(Debug)]
-pub(crate) struct ScanOutput<'a> {
-    /// Record-bearing chunks, in input order.
-    pub(crate) chunks: Vec<Chunk<'a>>,
-    /// Chain-name table entries seen by the scan.
-    pub(crate) chain_names: HashMap<ChainId, String>,
-    /// Value of the `end` marker (0 until seen).
-    pub(crate) end_time: u64,
-    /// True when the `end` marker was seen.
-    pub(crate) saw_end: bool,
-    /// Scan-level errors, in input order.
-    pub(crate) errors: Vec<LogError>,
-    /// Lines/frames dropped by the scan (salvage only).
-    pub(crate) units_dropped: u64,
-    /// Bytes skipped by those drops (salvage only).
-    pub(crate) bytes_skipped: u64,
-    /// Where a missing-end-marker error should point: one past the last
-    /// unit, at the end of the input.
-    pub(crate) next_position: (usize, u64),
-}
-
-impl ScanOutput<'_> {
-    pub(crate) fn new() -> Self {
-        ScanOutput {
-            chunks: Vec::new(),
-            chain_names: HashMap::new(),
-            end_time: 0,
-            saw_end: false,
-            errors: Vec::new(),
-            units_dropped: 0,
-            bytes_skipped: 0,
-            next_position: (1, 0),
-        }
-    }
-
-    /// Records a scan-level error over `raw_len` input bytes. Returns true
-    /// when the scan must abort (strict mode); in salvage mode the bytes
-    /// are counted as dropped and the scan continues.
-    pub(crate) fn note(&mut self, e: LogError, raw_len: u64, salvage: bool) -> bool {
-        self.errors.push(e);
-        if salvage {
-            self.units_dropped += 1;
-            self.bytes_skipped += raw_len;
-            false
-        } else {
-            true
         }
     }
 }

@@ -16,9 +16,9 @@
 //! <truncated 0|1> <path...>` — the path is the rest of the line,
 //! whitespace-normalized on both write and read.
 //!
-//! `scan` is the codec's half of the ingest engine: it walks the input
-//! once, parses the header/`chain`/`end` directives in place, and batches
-//! `obj`/`gc`/`retain` lines into `Chunk`s for the worker pool.
+//! `StreamScanner` is the codec's half of the ingest engine: fed the input
+//! block by block, it parses the header/`chain`/`end` directives in place
+//! and batches `obj`/`gc`/`retain` lines into chunks for the decoders.
 //! [`TextSink`] is the streaming encoder. See [`crate::log`] for the
 //! strict/salvage semantics shared with the binary codec.
 
@@ -30,8 +30,7 @@ use crate::log::{ErrorCode, LogError};
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 
 use super::{
-    normalize_chain_name, Chunk, ChunkOut, LineMeta, OwnedChunk, OwnedLines, ScanOutput,
-    StreamScanState, TraceSink,
+    normalize_chain_name, ChunkOut, LineMeta, OwnedChunk, OwnedLines, StreamScanState, TraceSink,
 };
 
 /// The line-1 header every v1 text log starts with.
@@ -130,60 +129,6 @@ impl<W: Write> TraceSink for TextSink<W> {
     }
 }
 
-/// One raw input line with its byte extent, as produced by [`SplitLines`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RawLine<'a> {
-    /// 1-based line number.
-    pub(crate) line: usize,
-    /// Byte offset of the line start.
-    pub(crate) byte: u64,
-    /// Raw byte length, terminator included when present.
-    pub(crate) len: u64,
-    /// Line content, terminator excluded.
-    pub(crate) text: &'a str,
-    /// False only for a final line with no `\n` — a torn write.
-    pub(crate) terminated: bool,
-}
-
-/// Like `str::lines`, but tracking byte offsets and whether each line was
-/// terminated, so torn tails are detectable and skipped bytes countable.
-struct SplitLines<'a> {
-    text: &'a str,
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> SplitLines<'a> {
-    fn new(text: &'a str) -> Self {
-        SplitLines { text, pos: 0, line: 0 }
-    }
-}
-
-impl<'a> Iterator for SplitLines<'a> {
-    type Item = RawLine<'a>;
-
-    fn next(&mut self) -> Option<RawLine<'a>> {
-        if self.pos >= self.text.len() {
-            return None;
-        }
-        let start = self.pos;
-        let rest = &self.text[start..];
-        let (content, len, terminated) = match rest.find('\n') {
-            Some(i) => (&rest[..i], i + 1, true),
-            None => (rest, rest.len(), false),
-        };
-        self.pos = start + len;
-        self.line += 1;
-        Some(RawLine {
-            line: self.line,
-            byte: start as u64,
-            len: len as u64,
-            text: content,
-            terminated,
-        })
-    }
-}
-
 fn field<'a, T: std::str::FromStr>(
     parts: &mut impl Iterator<Item = &'a str>,
     line: usize,
@@ -243,6 +188,7 @@ fn no_extra<'a>(parts: &mut impl Iterator<Item = &'a str>, line: usize) -> Resul
 }
 
 /// Parses one `obj` line body (after the directive word).
+#[inline(never)]
 fn parse_obj<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
     n: usize,
@@ -271,6 +217,7 @@ fn parse_obj<'a>(
 }
 
 /// Parses one `gc` line body (after the directive word).
+#[inline(never)]
 fn parse_gc<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
     n: usize,
@@ -294,6 +241,7 @@ fn parse_end<'a>(parts: &mut impl Iterator<Item = &'a str>, n: usize) -> Result<
 /// Parses one `retain` line body (after the directive word). The path is
 /// the rest of the line, re-joined with single spaces — the same
 /// normalization the sink applies on write.
+#[inline(never)]
 fn parse_retain<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
     n: usize,
@@ -390,6 +338,7 @@ impl Canonical<'_> {
 /// and no `FromStr`. `None` for any other spelling; [`parse_obj`] then
 /// decides, and stays the only source of errors. Whenever this returns a
 /// record, [`parse_obj`] returns the same one.
+#[inline(never)]
 fn parse_obj_canonical(line: &[u8]) -> Option<ObjectRecord> {
     let mut c = Canonical {
         line: line.strip_prefix(b"obj ")?,
@@ -423,157 +372,46 @@ fn parse_obj_canonical(line: &[u8]) -> Option<ObjectRecord> {
 /// Decodes one chunk of `obj`/`gc`/`retain` lines. A canonical `obj` line
 /// takes the byte-level fast path; every other line goes through the
 /// field-by-field parsers. In strict mode the first bad line ends the
-/// chunk (the sequential scan would stop there too); in salvage mode bad
+/// chunk (only the smallest line number is reported); in salvage mode bad
 /// lines are dropped and counted, and decoding continues.
-pub(crate) fn parse_chunk<'a>(
-    lines: impl ExactSizeIterator<Item = RawLine<'a>>,
-    chunk: usize,
-    salvage: bool,
-) -> ChunkOut {
+pub(crate) fn parse_chunk(lines: &OwnedLines, chunk: usize, salvage: bool) -> ChunkOut {
     let mut out = ChunkOut {
-        records: Vec::with_capacity(lines.len()),
+        records: Vec::with_capacity(lines.metas.len()),
         ..ChunkOut::default()
     };
-    for raw in lines {
-        if let Some(r) = parse_obj_canonical(raw.text.as_bytes()) {
+    for m in &lines.metas {
+        let text = &lines.buf[m.start..m.end];
+        if let Some(r) = parse_obj_canonical(text.as_bytes()) {
             out.records.push(r);
             continue;
         }
-        let mut parts = raw.text.split_whitespace();
+        let mut parts = text.split_whitespace();
         let result = match parts.next() {
-            Some("obj") => parse_obj(&mut parts, raw.line).map(|r| out.records.push(r)),
-            Some("gc") => parse_gc(&mut parts, raw.line).map(|s| out.samples.push(s)),
-            Some("retain") => parse_retain(&mut parts, raw.line).map(|r| out.retains.push(r)),
-            other => unreachable!("chunked line {} is not obj/gc/retain: {other:?}", raw.line),
+            Some("obj") => parse_obj(&mut parts, m.line).map(|r| out.records.push(r)),
+            Some("gc") => parse_gc(&mut parts, m.line).map(|s| out.samples.push(s)),
+            Some("retain") => parse_retain(&mut parts, m.line).map(|r| out.retains.push(r)),
+            other => unreachable!("chunked line {} is not obj/gc/retain: {other:?}", m.line),
         };
         if let Err(mut e) = result {
-            e.byte = raw.byte;
+            e.byte = m.byte;
             e.chunk = Some(chunk);
             out.errors.push(e);
             if !salvage {
                 break;
             }
             out.units_dropped += 1;
-            out.bytes_skipped += raw.len;
+            out.bytes_skipped += m.len;
         }
     }
     out
 }
 
 /// True for a line that starts `obj ` or `gc `: a record line, whatever
-/// follows. The scans classify such a line by this raw prefix alone, with
-/// no trimming or splitting; it reaches the same decision as the
+/// follows. The scanner classifies such a line by this raw prefix alone,
+/// with no trimming or splitting; it reaches the same decision as the
 /// directive-word match, since the first word of the line is the prefix.
 fn is_record_prefix(line: &[u8]) -> bool {
     line.starts_with(b"obj ") || line.starts_with(b"gc ")
-}
-
-/// The text codec's scan pass: one walk over the input on the
-/// coordinating thread. The header and the `end`/`chain` directives are
-/// parsed in place (they are rare and carry shared state), while
-/// `obj`/`gc`/`retain` lines — the bulk of a trace — are batched into
-/// chunks of `chunk_records` lines for the worker pool. In strict mode the scan
-/// aborts at the first scan-level error; in salvage mode bad lines are
-/// dropped and counted.
-pub(crate) fn scan(text: &str, salvage: bool, chunk_records: usize) -> ScanOutput<'_> {
-    let mut out = ScanOutput::new();
-    let mut chunks: Vec<Vec<RawLine<'_>>> = Vec::new();
-    let mut current: Vec<RawLine<'_>> = Vec::new();
-    let mut last_line = 0;
-
-    for raw in SplitLines::new(text) {
-        last_line = raw.line;
-        // A torn tail can only be the final line; drop or abort on it.
-        if !raw.terminated {
-            let mut e = LogError::new(
-                ErrorCode::TornTail,
-                raw.line,
-                "unterminated final line (torn write)".into(),
-            );
-            e.byte = raw.byte;
-            if out.note(e, raw.len, salvage) {
-                break;
-            }
-            continue;
-        }
-        if raw.line > 1 && is_record_prefix(raw.text.as_bytes()) {
-            current.push(raw);
-            if current.len() >= chunk_records {
-                chunks.push(std::mem::take(&mut current));
-            }
-            continue;
-        }
-        let content = raw.text.trim();
-        if raw.line == 1 {
-            if content == TEXT_HEADER {
-                continue;
-            }
-            let mut e = LogError::new(
-                ErrorCode::BadHeader,
-                raw.line,
-                format!("unrecognised header `{content}`"),
-            );
-            e.byte = raw.byte;
-            if out.note(e, raw.len, salvage) {
-                break;
-            }
-            continue;
-        }
-        if content.is_empty() {
-            continue;
-        }
-        let mut parts = content.split_whitespace();
-        match parts.next() {
-            Some("end") => match parse_end(&mut parts, raw.line) {
-                Ok(t) => {
-                    out.end_time = t;
-                    out.saw_end = true;
-                }
-                Err(mut e) => {
-                    e.byte = raw.byte;
-                    if out.note(e, raw.len, salvage) {
-                        break;
-                    }
-                }
-            },
-            Some("chain") => match field::<u32>(&mut parts, raw.line, "chain id") {
-                Ok(id) => {
-                    let rest: Vec<&str> = parts.collect();
-                    out.chain_names.insert(ChainId(id), rest.join(" "));
-                }
-                Err(mut e) => {
-                    e.byte = raw.byte;
-                    if out.note(e, raw.len, salvage) {
-                        break;
-                    }
-                }
-            },
-            Some("obj") | Some("gc") | Some("retain") => {
-                current.push(raw);
-                if current.len() >= chunk_records {
-                    chunks.push(std::mem::take(&mut current));
-                }
-            }
-            Some(other) => {
-                let mut e = LogError::new(
-                    ErrorCode::UnknownDirective,
-                    raw.line,
-                    format!("unknown directive `{other}`"),
-                );
-                e.byte = raw.byte;
-                if out.note(e, raw.len, salvage) {
-                    break;
-                }
-            }
-            None => {}
-        }
-    }
-    if !current.is_empty() {
-        chunks.push(current);
-    }
-    out.chunks = chunks.into_iter().map(Chunk::Lines).collect();
-    out.next_position = (last_line + 1, text.len() as u64);
-    out
 }
 
 /// The index of the first `\n` in `bytes`, searched eight bytes at a
@@ -598,14 +436,21 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
     tail.map(|i| base + i)
 }
 
-/// The incremental counterpart of [`scan`]: fed arbitrary byte blocks
-/// (however a reader happens to split them), it cuts at raw `\n` bytes,
-/// lossy-decodes each line on its own, and replays the exact per-line
-/// decision ladder of the in-memory scan. Cutting on raw `0x0A` before
-/// decoding is sound because `0x0A` never occurs inside a multi-byte
-/// UTF-8 sequence and always terminates an invalid run, so per-line lossy
-/// decoding concatenates to exactly the whole-input lossy decoding — line
-/// numbers and (lossy) byte offsets match the in-memory scan bit for bit.
+/// The text codec's scan: one walk over the input on the coordinating
+/// thread. Fed arbitrary byte blocks (however a reader happens to split
+/// them), it cuts at raw `\n` bytes and lossy-decodes each line on its
+/// own. The header and the `end`/`chain` directives are parsed in place
+/// (they are rare and carry shared state), while `obj`/`gc`/`retain`
+/// lines — the bulk of a trace — are batched into chunks of
+/// `chunk_records` lines for the decoders. In strict mode the scan stops
+/// at the first scan-level error; in salvage mode bad lines are dropped
+/// and counted.
+///
+/// Cutting on raw `0x0A` before decoding is sound because `0x0A` never
+/// occurs inside a multi-byte UTF-8 sequence and always terminates an
+/// invalid run, so per-line lossy decoding concatenates to exactly the
+/// whole-input lossy decoding: line numbers and (lossy) byte offsets do
+/// not depend on where the blocks were cut.
 #[derive(Debug)]
 pub(crate) struct StreamScanner {
     chunk_records: usize,
@@ -613,8 +458,8 @@ pub(crate) struct StreamScanner {
     carry: Vec<u8>,
     /// Lines processed so far.
     line: usize,
-    /// Cumulative lossy-decoded length, i.e. the byte offset (in
-    /// in-memory-scan coordinates) of the next line.
+    /// Cumulative lossy-decoded length, i.e. the byte offset (in lossy
+    /// coordinates) of the next line.
     lossy_pos: u64,
     current: OwnedLines,
     /// The accumulated shared state; read it after [`Self::finish`].
@@ -640,8 +485,7 @@ impl StreamScanner {
     }
 
     /// Feeds one block of input; completed chunks are appended to `out`.
-    /// After a strict-mode error the scanner ignores further input (the
-    /// in-memory scan breaks at the same line).
+    /// After a strict-mode error the scanner ignores further input.
     pub(crate) fn feed(&mut self, data: &[u8], out: &mut Vec<OwnedChunk>) {
         if self.state.aborted {
             return;
@@ -796,16 +640,6 @@ mod tests {
     use super::*;
     use crate::codec::OwnedChunk;
 
-    /// Decodes every chunk of a batch scan, in order.
-    fn batch_outs(scan_out: &ScanOutput<'_>, salvage: bool) -> Vec<ChunkOut> {
-        scan_out
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.decode(i, salvage).0)
-            .collect()
-    }
-
     /// Runs the incremental scanner over `bytes` in blocks of `feed`
     /// bytes and decodes every chunk it produced.
     fn stream_scan(
@@ -828,6 +662,16 @@ mod tests {
         (scanner, outs)
     }
 
+    /// The scanner fed the whole input in one block: the oracle every
+    /// other feed size must agree with.
+    fn whole_scan(
+        bytes: &[u8],
+        salvage: bool,
+        chunk_records: usize,
+    ) -> (StreamScanner, Vec<ChunkOut>) {
+        stream_scan(bytes, salvage, chunk_records, bytes.len())
+    }
+
     fn assert_same_out(a: &ChunkOut, b: &ChunkOut, ctx: &str) {
         assert_eq!(a.records, b.records, "{ctx}: records");
         assert_eq!(a.samples, b.samples, "{ctx}: samples");
@@ -837,14 +681,14 @@ mod tests {
         assert_eq!(a.bytes_skipped, b.bytes_skipped, "{ctx}: bytes_skipped");
     }
 
-    /// Asserts the incremental scanner agrees with the batch scan on
-    /// `bytes` for every combination of mode, chunk size, and feed size.
+    /// Asserts the incremental scanner fed `bytes` in small blocks agrees
+    /// with the same scanner fed the whole input at once, for every
+    /// combination of mode, chunk size, and feed size.
     fn assert_stream_matches_batch(bytes: &[u8], label: &str) {
-        let text = String::from_utf8_lossy(bytes).into_owned();
         for salvage in [false, true] {
             for chunk_records in [1, 3, 8192] {
-                let want = scan(&text, salvage, chunk_records);
-                let want_outs = batch_outs(&want, salvage);
+                let (want, want_outs) = whole_scan(bytes, salvage, chunk_records);
+                let want = want.state;
                 for feed in [1, 2, 3, 7, 64, 4096] {
                     let ctx = format!(
                         "{label}: salvage={salvage} chunk_records={chunk_records} feed={feed}"
@@ -900,9 +744,9 @@ mod tests {
         }
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("retain 7 4096 123456 3 1 static a.B.c -> d.E[3]\n"));
-        let s = scan(&text, false, 8192);
-        assert!(s.errors.is_empty());
-        let (out, _) = s.chunks[0].decode(0, false);
+        let (s, outs) = whole_scan(text.as_bytes(), false, 8192);
+        assert!(s.state.errors.is_empty());
+        let out = &outs[0];
         assert!(out.errors.is_empty());
         assert_eq!(out.retains.len(), 1);
         assert_eq!(
@@ -990,9 +834,9 @@ mod tests {
             .collect();
         assert_eq!(text, want);
 
-        let s = scan(&text, false, 8192);
-        assert!(s.errors.is_empty(), "{:?}", s.errors);
-        let decoded: Vec<ObjectRecord> = batch_outs(&s, false)
+        let (s, outs) = whole_scan(text.as_bytes(), false, 8192);
+        assert!(s.state.errors.is_empty(), "{:?}", s.state.errors);
+        let decoded: Vec<ObjectRecord> = outs
             .into_iter()
             .flat_map(|out| {
                 assert!(out.errors.is_empty(), "{:?}", out.errors);
@@ -1102,8 +946,8 @@ mod tests {
         let text = format!(
             "{TEXT_HEADER}\nobj  17 8 816 1024 204800 2048 3 5 0\nobj\t18 8 8 1 2 - 3 - 1\nend 9\n"
         );
-        let s = scan(&text, false, 8192);
-        let (out, _) = s.chunks[0].decode(0, false);
+        let (_, outs) = whole_scan(text.as_bytes(), false, 8192);
+        let out = &outs[0];
         assert!(out.errors.is_empty(), "{:?}", out.errors);
         assert_eq!(out.records[0], want);
         assert_eq!(out.records[1].object, ObjectId(18));
@@ -1118,9 +962,9 @@ mod tests {
                    retain 0 816 500 2 0\n\
                    retain 0 24 600 1 1 static Main.pool -> int[]\n\
                    end 1000\n";
-        let s = scan(log, true, 8192);
-        assert!(s.errors.is_empty());
-        let (out, _) = s.chunks[0].decode(0, true);
+        let (s, outs) = whole_scan(log.as_bytes(), true, 8192);
+        assert!(s.state.errors.is_empty());
+        let out = &outs[0];
         assert_eq!(out.errors.len(), 2);
         assert_eq!(out.errors[0].code, ErrorCode::BadFieldValue);
         assert_eq!(out.errors[1].code, ErrorCode::MissingField);
@@ -1149,6 +993,108 @@ mod tests {
         }
     }
 
+    /// The scanner's outcome on `bytes` fed whole, in one line: scan-level
+    /// errors and decode errors (each `code@line:byte`). In salvage mode
+    /// also the kept records/samples/retains, drops and skipped bytes
+    /// (scan + decode), `next_position` and the end marker.
+    fn outcome(bytes: &[u8], salvage: bool) -> String {
+        let (s, outs) = whole_scan(bytes, salvage, 8192);
+        let s = s.state;
+        let at = |e: &LogError| format!("{}@{}:{}", e.code, e.line, e.byte);
+        let scan: Vec<String> = s.errors.iter().map(at).collect();
+        let decode: Vec<String> = outs.iter().flat_map(|o| &o.errors).map(at).collect();
+        let errors = format!("scan [{}] decode [{}]", scan.join(" "), decode.join(" "));
+        if !salvage {
+            return errors;
+        }
+        let sum = |f: fn(&ChunkOut) -> u64| outs.iter().map(f).sum::<u64>();
+        format!(
+            "{errors} kept {}/{}/{} dropped {}+{} skipped {}+{} next {}:{} end {}",
+            sum(|o| o.records.len() as u64),
+            sum(|o| o.samples.len() as u64),
+            sum(|o| o.retains.len() as u64),
+            s.units_dropped,
+            sum(|o| o.units_dropped),
+            s.bytes_skipped,
+            sum(|o| o.bytes_skipped),
+            s.next_position.0,
+            s.next_position.1,
+            if s.saw_end { s.end_time.to_string() } else { "-".into() },
+        )
+    }
+
+    /// Fixed outcomes for each rung of the scanner's line ladder (header,
+    /// blank line, `chain`, `end`, unknown directive, record line, torn
+    /// tail), strict then salvage. The feed-size tests compare the
+    /// scanner with itself; these pin what it decides. Offsets are in
+    /// lossy-decoded coordinates, so the invalid-UTF-8 case places line 3
+    /// at 16 + 27 bytes although its raw line 2 is 23 bytes long.
+    #[test]
+    fn scanner_outcomes_are_fixed_on_each_rung() {
+        let cases: &[(&[u8], &str, &str)] = &[
+            (
+                b"heapdrag-log v1\nobj 1 2 816 16 900 320 0 1 0\ngc 500 840",
+                "scan [E007@3:45] decode []",
+                "scan [E007@3:45] decode [] kept 1/0/0 dropped 1+0 skipped 10+0 next 4:55 end -",
+            ),
+            (
+                b"not a heapdrag log\nobj 1 2 816 16 900 320 0 1 0\nend 9\n",
+                "scan [E002@1:0] decode []",
+                "scan [E002@1:0] decode [] kept 1/0/0 dropped 1+0 skipped 19+0 next 4:54 end 9",
+            ),
+            (
+                b"heapdrag-log v1\nwat 1 2 3\nobj 1 2 816 16 900 320 0 1 0\nend 9\n",
+                "scan [E003@2:16] decode []",
+                "scan [E003@2:16] decode [] kept 1/0/0 dropped 1+0 skipped 10+0 next 5:61 end 9",
+            ),
+            (
+                b"heapdrag-log v1\nobj 1 2 816 16 900 320 0 1 0\nend soon\n",
+                "scan [E005@3:45] decode []",
+                "scan [E005@3:45] decode [] kept 1/0/0 dropped 1+0 skipped 9+0 next 4:54 end -",
+            ),
+            (
+                b"heapdrag-log v1\nchain x Main.main@3\nend 9\n",
+                "scan [E005@2:16] decode []",
+                "scan [E005@2:16] decode [] kept 0/0/0 dropped 1+0 skipped 20+0 next 4:42 end 9",
+            ),
+            (
+                b"heapdrag-log v1\n\n  \nobj 1 2 816 16 900 320 0 1 0\n\nend 9\n",
+                "scan [] decode []",
+                "scan [] decode [] kept 1/0/0 dropped 0+0 skipped 0+0 next 7:56 end 9",
+            ),
+            (
+                b"heapdrag-log v1\nobj 1 2 816 16 900 320 0 1 0\n",
+                "scan [] decode []",
+                "scan [] decode [] kept 1/0/0 dropped 0+0 skipped 0+0 next 3:45 end -",
+            ),
+            (
+                b"heapdrag-log v1\nobj 1 2 many 16 900 320 0 1 0\ngc 500 840 2\nend 9\n",
+                "scan [] decode [E005@2:16]",
+                "scan [] decode [E005@2:16] kept 0/1/0 dropped 0+1 skipped 0+30 next 5:65 end 9",
+            ),
+            (
+                b"heapdrag-log",
+                "scan [E007@1:0] decode []",
+                "scan [E007@1:0] decode [] kept 0/0/0 dropped 1+0 skipped 12+0 next 2:12 end -",
+            ),
+            (
+                b"heapdrag-log v1\n",
+                "scan [] decode []",
+                "scan [] decode [] kept 0/0/0 dropped 0+0 skipped 0+0 next 2:16 end -",
+            ),
+            (
+                b"heapdrag-log v1\nchain 0 Ma\xffin.m\xc3\x28ain@3\nobj 1 2 816 16 900 320 \xf0\x9f 0 1 0\nobj 2 2 24 32 1000 - 0 - 1\nend 1000\n",
+                "scan [] decode [E005@3:43]",
+                "scan [] decode [E005@3:43] kept 1/0/0 dropped 0+1 skipped 0+33 next 6:112 end 1000",
+            ),
+        ];
+        for &(log, strict, salvage) in cases {
+            let ctx = String::from_utf8_lossy(log);
+            assert_eq!(outcome(log, false), strict, "strict: {ctx:?}");
+            assert_eq!(outcome(log, true), salvage, "salvage: {ctx:?}");
+        }
+    }
+
     #[test]
     fn incremental_scan_matches_batch_on_invalid_utf8() {
         // Invalid UTF-8 inside a chain name and inside an obj line: the
@@ -1158,6 +1104,9 @@ mod tests {
         log.extend_from_slice(b"obj 1 2 816 16 900 320 \xf0\x9f 0 1 0\n");
         log.extend_from_slice(b"obj 2 2 24 32 1000 - 0 - 1\nend 1000\n");
         assert_stream_matches_batch(&log, "invalid utf8");
+        let (s, _) = whole_scan(&log, true, 8192);
+        let lossy = String::from_utf8_lossy(&log);
+        assert_eq!(s.state.next_position, (6, lossy.len() as u64));
     }
 
     #[test]

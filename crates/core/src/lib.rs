@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analyzer;
 pub mod codec;
@@ -102,8 +103,6 @@ pub use pattern::{LifetimePattern, PatternConfig, TransformKind};
 pub use profiler::{profile, profile_with, DragProfiler, ProfileRun, ProfilerMetrics};
 pub use record::{GcSample, ObjectRecord, RetainRecord};
 pub use report::{anchor_site, ChainNamer, ProgramNamer, ReportSections};
-#[allow(deprecated)]
-pub use report::render;
 pub use serve::{
     ServeConfig, ServeManager, SessionId, SessionSource, SessionSpec, SessionState,
     SessionSummary, WorkerPool,

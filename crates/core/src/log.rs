@@ -35,24 +35,42 @@
 //!   was kept, dropped, and repaired — and which input format was
 //!   detected — and renders as the report footer.
 //!
-//! Both modes, in both formats, run under the same sharded decoder and
-//! produce results that are byte-identical for every shard count (see
-//! [`crate::parallel`]); the same run serialised as text or binary yields
-//! the identical [`ParsedLog`] and analyzer report.
+//! In detail, salvage:
+//!
+//! 1. drops undecodable lines/frames, counting units and bytes per
+//!    [`ErrorCode`]. A binary checksum mismatch or unknown tag drops
+//!    exactly one frame, while a fault that destroys framing (corrupt
+//!    length prefix, truncation) keeps the intact prefix and drops the
+//!    rest;
+//! 2. drops a torn tail (unterminated final line / truncated frame);
+//! 3. collapses exact duplicate records (by object id) and samples, in
+//!    input order;
+//! 4. synthesizes the exit time from the latest observed `freed`/sample
+//!    time when the end marker is missing. The synthesized exit is never
+//!    earlier than any kept record's reclamation time, so every kept
+//!    record's drag equals its value in the complete log;
+//! 5. fails only on an empty input (`E001`) or when the error count
+//!    exceeds [`IngestConfig::max_errors`] (`E008`).
+//!
+//! Strict returns the error with the smallest line/frame number, wherever
+//! it was found. Both modes, in both formats, run under the one streaming
+//! engine ([`crate::stream`]) and produce results that are byte-identical
+//! for every shard count (see [`crate::parallel`]); the same run
+//! serialised as text or binary yields the identical [`ParsedLog`] and
+//! analyzer report.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::io;
-use std::time::Instant;
 
-use heapdrag_vm::ids::{ChainId, ObjectId};
+use heapdrag_vm::ids::ChainId;
 use heapdrag_vm::program::Program;
 
 use crate::codec::{
-    self, normalize_chain_name, BinarySink, CountingWriter, LogFormat, TextSink, TraceSink,
+    normalize_chain_name, BinarySink, CountingWriter, LogFormat, TextSink, TraceSink,
 };
-use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
+use crate::parallel::ParallelMetrics;
 use crate::profiler::ProfileRun;
 use crate::record::{GcSample, ObjectRecord, RetainRecord};
 use crate::report::ChainNamer;
@@ -545,277 +563,12 @@ fn drive_sink<S: TraceSink>(
     sink.end(run.outcome.end_time)
 }
 
-/// The in-memory ingestion engine behind
-/// [`crate::Pipeline::ingest_bytes`]: format autodetection by magic
-/// bytes, one scan on the coordinating thread (via the detected codec),
-/// sharded record decoding, then a deterministic merge.
-///
-/// Text logs are lossily decoded as UTF-8, binary logs are parsed as
-/// frames.
-///
-/// **Strict** ([`IngestConfig::strict`]) returns the first malformed
-/// unit's error: the one with the smallest line/frame number, exactly as
-/// a sequential scan would report it. **Salvage**
-/// ([`IngestConfig::salvage`]) instead:
-///
-/// 1. drops undecodable lines/frames (counting units and bytes per
-///    [`ErrorCode`]) — a binary checksum mismatch or unknown tag drops
-///    exactly one frame, while a fault that destroys framing (corrupt
-///    length prefix, truncation) keeps the intact prefix and drops the
-///    rest,
-/// 2. drops a torn tail (unterminated final line / truncated frame),
-/// 3. collapses exact duplicate records (by object id) and samples,
-/// 4. synthesizes the exit time from the latest observed `freed`/sample
-///    time when the end marker is missing — the synthesized exit is
-///    never earlier than any kept record's reclamation time, so every
-///    kept record's drag equals its value in the complete log, and
-/// 5. fails only on an empty input (`E001`) or when the error count
-///    exceeds [`IngestConfig::max_errors`] (`E008`).
-///
-/// The returned [`ParsedLog`] and [`SalvageSummary`] are identical for
-/// every [`ParallelConfig`]: chunking is decided by the scan (not the
-/// worker count), drops are per-unit decisions, and the duplicate
-/// collapse runs at the sequential merge in input order. A worker thread
-/// that panics loses only the chunks it claimed (`E010`); under strict
-/// that is a per-chunk error, under salvage those chunks are dropped.
-///
-/// # Errors
-///
-/// Strict: the first malformed unit. Salvage: `E001` or `E008` only.
-pub(crate) fn ingest_bytes_impl(
-    bytes: &[u8],
-    par: &ParallelConfig,
-    ingest: &IngestConfig,
-) -> Result<Ingested, LogError> {
-    let start = Instant::now();
-    let salvage = ingest.is_salvage();
-    let mut metrics = ParallelMetrics::default();
-    let split_start = Instant::now();
-
-    if bytes.is_empty() {
-        return Err(LogError::new(ErrorCode::EmptyLog, 1, "empty log".into()));
-    }
-
-    let format = LogFormat::detect(bytes);
-    let chunk_records = par.effective_chunk();
-    let text_storage;
-    let scan = match format {
-        LogFormat::Binary => codec::binary::scan(bytes, salvage, chunk_records),
-        LogFormat::Text => {
-            text_storage = String::from_utf8_lossy(bytes);
-            codec::text::scan(&text_storage, salvage, chunk_records)
-        }
-    };
-    metrics.split_elapsed = split_start.elapsed();
-
-    let codec::ScanOutput {
-        chunks,
-        chain_names,
-        end_time,
-        saw_end,
-        errors: scan_errors,
-        units_dropped,
-        bytes_skipped,
-        next_position,
-    } = scan;
-
-    let mut summary = SalvageSummary {
-        salvage,
-        format,
-        lines_dropped: units_dropped,
-        bytes_skipped,
-        ..SalvageSummary::default()
-    };
-    let mut log = ParsedLog {
-        end_time,
-        chain_names,
-        ..ParsedLog::default()
-    };
-
-    // Decode the chunks, work-stealing over chunk indices so a slow chunk
-    // cannot serialise the rest. The stealing loops run as borrowing jobs
-    // on the shared worker pool (one per effective shard) rather than on
-    // per-call threads. Results land in per-chunk slots; a job that
-    // panics loses only the chunk it was decoding — the empty slots are
-    // degraded to per-chunk `E010` errors below rather than aborting the
-    // whole process.
-    let workers = par.effective_shards(chunks.len());
-    let mut slots: Vec<Option<(codec::ChunkOut, ShardMetrics)>> = if workers <= 1 {
-        chunks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Some(c.decode(i, salvage)))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let chunks_ref = &chunks;
-        let next_ref = &next;
-        let mut worker_outs: Vec<Vec<(usize, (codec::ChunkOut, ShardMetrics))>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = worker_outs
-            .iter_mut()
-            .map(|mine| {
-                Box::new(move || loop {
-                    let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= chunks_ref.len() {
-                        return;
-                    }
-                    mine.push((i, chunks_ref[i].decode(i, salvage)));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        crate::serve::WorkerPool::shared().scope(jobs);
-        let mut slots: Vec<Option<(codec::ChunkOut, ShardMetrics)>> =
-            (0..chunks.len()).map(|_| None).collect();
-        for mine in worker_outs {
-            for (i, result) in mine {
-                slots[i] = Some(result);
-            }
-        }
-        slots
-    };
-
-    let merge_start = Instant::now();
-    let mut all_errors = scan_errors;
-    let mut outs: Vec<codec::ChunkOut> = Vec::with_capacity(chunks.len());
-    for (i, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some((mut out, m)) => {
-                metrics.shards.push(m);
-                all_errors.append(&mut out.errors);
-                summary.lines_dropped += out.units_dropped;
-                summary.bytes_skipped += out.bytes_skipped;
-                outs.push(out);
-            }
-            None => {
-                let chunk = &chunks[i];
-                let (first_unit, first_byte) = chunk.first_position();
-                all_errors.push(LogError {
-                    code: ErrorCode::WorkerLost,
-                    line: first_unit,
-                    byte: first_byte,
-                    chunk: Some(i),
-                    message: format!(
-                        "parse worker panicked; chunk {i} ({} units) lost",
-                        chunk.len()
-                    ),
-                });
-                if salvage {
-                    summary.lines_dropped += chunk.len() as u64;
-                    summary.bytes_skipped += chunk.byte_len();
-                }
-            }
-        }
-    }
-    // The smallest line/frame number wins, wherever the error was found —
-    // exactly what a sequential scan would report first.
-    all_errors.sort_by_key(|e| e.line);
-
-    if !salvage {
-        if let Some(e) = all_errors.into_iter().next() {
-            return Err(e);
-        }
-        if !saw_end {
-            return Err(LogError {
-                code: ErrorCode::MissingEndMarker,
-                line: next_position.0,
-                byte: next_position.1,
-                chunk: None,
-                message: "no `end` marker — log truncated?".into(),
-            });
-        }
-        for out in outs {
-            log.records.extend(out.records);
-            log.samples.extend(out.samples);
-            log.retains.extend(out.retains);
-        }
-    } else {
-        if !saw_end {
-            summary.synthesized_end = true;
-            all_errors.push(LogError {
-                code: ErrorCode::MissingEndMarker,
-                line: next_position.0,
-                byte: next_position.1,
-                chunk: None,
-                message: "no `end` marker — synthesizing exit time".into(),
-            });
-        }
-        // Collapse exact duplicates in input order, so the kept set — and
-        // therefore the whole analysis — is shard-invariant.
-        let mut seen_objects: HashSet<ObjectId> = HashSet::new();
-        let mut seen_samples: HashSet<(u64, u64, u64)> = HashSet::new();
-        for out in outs {
-            for r in out.records {
-                if seen_objects.insert(r.object) {
-                    log.records.push(r);
-                } else {
-                    summary.duplicates_dropped += 1;
-                }
-            }
-            for s in out.samples {
-                if seen_samples.insert((s.time, s.reachable_bytes, s.reachable_count)) {
-                    log.samples.push(s);
-                } else {
-                    summary.duplicates_dropped += 1;
-                }
-            }
-            // Retain frames are *not* deduplicated: unlike object records
-            // (identified by id) and deep-GC samples (identified by their
-            // census), a retain sample carries no identity — multiplicity
-            // is its weight. Ten identical elements sampled at one census
-            // are ten legitimate samples, and collapsing them would skew
-            // every per-path weight and break the on-line/off-line
-            // `heapdrag_retain_samples_total` reconciliation.
-            log.retains.extend(out.retains);
-        }
-        if summary.synthesized_end {
-            log.end_time = log
-                .records
-                .iter()
-                .map(|r| r.freed)
-                .chain(log.samples.iter().map(|s| s.time))
-                .chain(log.retains.iter().map(|r| r.time))
-                .max()
-                .unwrap_or(0);
-        }
-        for e in &all_errors {
-            *summary.errors_by_code.entry(e.code).or_insert(0) += 1;
-        }
-        if summary.duplicates_dropped > 0 {
-            *summary
-                .errors_by_code
-                .entry(ErrorCode::DuplicateRecord)
-                .or_insert(0) += summary.duplicates_dropped;
-        }
-        summary.first_errors = all_errors.iter().take(FIRST_ERRORS_CAP).cloned().collect();
-        if let Some(max) = ingest.max_errors {
-            let total = summary.total_errors();
-            if total > max {
-                return Err(LogError::new(
-                    ErrorCode::TooManyErrors,
-                    0,
-                    format!("salvage found {total} errors, exceeding the bound of {max}"),
-                ));
-            }
-        }
-    }
-
-    summary.records_kept = log.records.len() as u64;
-    summary.samples_kept = log.samples.len() as u64;
-    summary.retains_kept = log.retains.len() as u64;
-    metrics.merge_elapsed = merge_start.elapsed();
-    metrics.total_elapsed = start.elapsed();
-    Ok(Ingested {
-        log,
-        salvage: summary,
-        metrics,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ParallelConfig;
     use crate::pipeline::{Pipeline, PipelineError};
+    use heapdrag_vm::ids::ObjectId;
 
     /// The pipeline for one parallel and one ingest configuration.
     fn pipeline(par: &ParallelConfig, cfg: &IngestConfig) -> Pipeline {

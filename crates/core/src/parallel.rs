@@ -3,19 +3,22 @@
 //!
 //! The off-line phase (§2.2) has two data-parallel stages:
 //!
-//! 1. **Parse** ([`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes))
-//!    — shared state (the header, chain table, and end marker) is parsed
-//!    once on the coordinating thread while record-bearing units are
-//!    batched into chunks of [`ParallelConfig::chunk_records`] units and
-//!    decoded on worker threads. Chunk boundaries follow the input's own
-//!    structure — line boundaries for the text format, *frame* boundaries
-//!    for HDLOG v2 binary logs (the scan hops length prefixes; workers
-//!    never search the input for delimiters) — so chunking, and therefore
-//!    every result, is independent of the worker count.
-//! 2. **Aggregate** ([`DragAnalyzer::analyze_sharded`](crate::analyzer::DragAnalyzer::analyze_sharded))
+//! 1. **Parse** ([`crate::stream`], behind every
+//!    [`Pipeline`](crate::Pipeline) ingest terminal) — shared state (the
+//!    header, chain table, and end marker) is parsed once on the
+//!    coordinating thread while record-bearing units are batched into
+//!    chunks of [`ParallelConfig::chunk_records`] units and decoded on
+//!    worker threads. Chunk boundaries follow the input's own structure —
+//!    line boundaries for the text format, *frame* boundaries for HDLOG v2
+//!    binary logs (the scanner hops length prefixes; decoders never search
+//!    the input for delimiters) — so chunking, and therefore every result,
+//!    is independent of the worker count.
+//! 2. **Aggregate** ([`Pipeline::analyze_records`](crate::Pipeline::analyze_records))
 //!    — the record slice is split into [`ParallelConfig::shards`]
-//!    contiguous shards, each accumulated into partial per-site groups on
-//!    its own worker, then merged deterministically.
+//!    contiguous shards, each accumulated into partial per-site groups,
+//!    then merged deterministically. (The streaming
+//!    [`Pipeline::analyze_reader`](crate::Pipeline::analyze_reader) folds
+//!    records on the coordinator as chunks merge instead.)
 //!
 //! Both stages are *exact*: every per-group quantity that crosses a shard
 //! boundary is an integer sum (associative, order-independent), and the
@@ -23,20 +26,71 @@
 //! group's members in original record order. The report for `shards = n`
 //! is therefore byte-identical to the sequential `shards = 1` report.
 //!
-//! `shards` sizes the *logical* parallelism only. No ingest spawns its
-//! own threads anymore: both stages submit their chunk/shard jobs to the
-//! process-wide [`serve::WorkerPool`](crate::serve::WorkerPool) (sized to
-//! the host, shared by every concurrent ingest and every serve session),
-//! so a thousand concurrent 8-shard ingests still run on one host-sized
-//! pool rather than eight thousand transient threads.
+//! `shards` sizes the *logical* parallelism only. The parse stage submits
+//! its chunk jobs to the process-wide
+//! [`serve::WorkerPool`](crate::serve::WorkerPool) (sized to the host,
+//! shared by every concurrent ingest and every serve session), so a
+//! thousand concurrent 8-shard ingests still run on one host-sized pool
+//! rather than eight thousand transient threads. The aggregate stage runs
+//! its shards through [`run_indexed`] on at most `available_parallelism`
+//! threads (asked once per process), the caller among them.
 
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
+
+/// The host's `available_parallelism` (1 if it cannot be read), asked
+/// once per process: the query reads the cgroup quota from files.
+pub(crate) fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Runs `f(0)`, …, `f(n - 1)` on at most `threads` threads and returns
+/// the results in index order. The calling thread is one of them; the
+/// others are scoped threads spawned for this call, so `f` may borrow.
+/// Each thread claims the next unclaimed index, so jobs of uneven size
+/// balance. A panic in `f` stops only the thread it ran on; the others
+/// finish the remaining indices, and the panic is then re-raised on the
+/// caller.
+pub fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
 
 /// Knobs of the parallel off-line pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Number of worker shards. `1` (the default) is the sequential path;
-    /// `0` is treated as `1`.
+    /// Number of worker shards. `1` (the default) aggregates on the
+    /// calling thread; `0` is treated as `1`.
     pub shards: usize,
     /// Record-bearing units (text lines or binary frames) per parse chunk
     /// — the work-unit handed to parse workers.
@@ -180,6 +234,54 @@ impl ParallelMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_indexed_returns_results_in_index_order() {
+        for threads in [0, 1, 2, 3, 8] {
+            for n in [0, 1, 2, 5, 40] {
+                let got = run_indexed(n, threads, |i| i * i);
+                assert_eq!(got, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn run_indexed_runs_each_index_once_across_threads() {
+        let calls: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        run_indexed(calls.len(), 3, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            threads.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        let used = threads.into_inner().unwrap();
+        assert!(
+            used.contains(&std::thread::current().id()),
+            "the caller takes jobs"
+        );
+        assert!(used.len() <= 3);
+    }
+
+    #[test]
+    fn run_indexed_reraises_a_panic_after_the_other_jobs() {
+        let finished = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_indexed(8, 2, |i| {
+                if i == 3 {
+                    panic!("job 3");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let panic = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"job 3"));
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            7,
+            "every other job still ran"
+        );
+    }
 
     #[test]
     fn effective_shards_clamps_to_work() {

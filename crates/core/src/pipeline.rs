@@ -5,8 +5,7 @@
 //! `parse_log_sharded`, `ingest_log`, `write_log`, `write_log_binary`,
 //! `write_log_to`, and `DragAnalyzer::analyze_sharded` — each hard-wiring
 //! one combination of format, shard count, and fault policy. [`Pipeline`]
-//! replaces them all. Only `analyze_sharded` survives, as a thin
-//! deprecated wrapper; the other six are gone:
+//! replaces them all, and all seven are gone:
 //!
 //! ```
 //! use heapdrag_core::{Pipeline, LogFormat};
@@ -29,11 +28,13 @@
 //! # }
 //! ```
 //!
-//! The terminals decide the execution strategy; the options are shared:
+//! Every ingest terminal runs the one streaming engine ([`crate::stream`]);
+//! the terminals differ in input shape and in what they keep. The options
+//! are shared:
 //!
 //! | terminal | input | memory | result |
 //! |----------|-------|--------|--------|
-//! | [`ingest_bytes`](Pipeline::ingest_bytes) | `impl AsRef<[u8]>` | O(input) | [`Ingested`] |
+//! | [`ingest_bytes`](Pipeline::ingest_bytes) | `impl AsRef<[u8]>` | the caller's input + O(shards × chunk) + records | [`Ingested`] |
 //! | [`ingest_reader`](Pipeline::ingest_reader) | `impl io::Read` | O(shards × chunk) + records | ([`Ingested`], [`StreamStats`]) |
 //! | [`analyze_reader`](Pipeline::analyze_reader) | `impl io::Read` | O(shards × chunk + groups) | [`StreamReport`] |
 //! | [`analyze_records`](Pipeline::analyze_records) | `&[ObjectRecord]` | O(groups) | ([`DragReport`], [`ParallelMetrics`]) |
@@ -59,8 +60,7 @@ use crate::analyzer::{DragAnalyzer, DragReport, ShardAccum};
 use crate::codec::LogFormat;
 use crate::engine::DragEngine;
 use crate::log::{
-    ingest_bytes_impl, write_run_to, IngestConfig, IngestMode, Ingested, LogError, ParsedLog,
-    SalvageSummary,
+    write_run_to, IngestConfig, IngestMode, Ingested, LogError, ParsedLog, SalvageSummary,
 };
 use crate::parallel::{ParallelConfig, ParallelMetrics, ShardMetrics};
 use crate::profiler::ProfileRun;
@@ -73,8 +73,8 @@ use crate::stream::{self, CollectFold, StreamStats};
 /// log it carried.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// The underlying [`io::Read`] failed. Only the streaming terminals
-    /// produce this.
+    /// The underlying [`io::Read`] failed. Only the reader terminals
+    /// produce this; a byte slice never fails to read.
     Io(io::Error),
     /// The log was malformed (strict) or unsalvageable, with the stable
     /// `E0xx` taxonomy of [`crate::ErrorCode`].
@@ -324,9 +324,9 @@ impl Pipeline {
         self.ingest
     }
 
-    /// Ingests an in-memory log (text or binary, autodetected): whole
-    /// input in memory, sharded decode, deterministic merge. See the
-    /// engine's contract in [`crate::log`] for what strict and salvage
+    /// Ingests an in-memory log (text or binary, autodetected):
+    /// [`ingest_reader`](Self::ingest_reader) over the slice, without the
+    /// [`StreamStats`]. See [`crate::log`] for what strict and salvage
     /// keep and report.
     ///
     /// # Errors
@@ -334,20 +334,19 @@ impl Pipeline {
     /// Strict: the first malformed unit. Salvage: `E001`/`E008` only.
     /// Never [`PipelineError::Io`].
     pub fn ingest_bytes(&self, input: impl AsRef<[u8]>) -> Result<Ingested, PipelineError> {
-        ingest_bytes_impl(input.as_ref(), &self.par, &self.ingest).map_err(PipelineError::from)
+        self.ingest_reader(input.as_ref()).map(|(ingested, _)| ingested)
     }
 
     /// Ingests a log from any reader — a file, stdin, a socket — in
-    /// bounded memory, returning the same [`Ingested`] as
-    /// [`ingest_bytes`](Self::ingest_bytes) on the same bytes plus the
-    /// [`StreamStats`] of the run. Peak *transit* memory is
-    /// O(shards × chunk); the decoded records themselves are retained
-    /// (use [`analyze_reader`](Self::analyze_reader) to avoid that too).
+    /// bounded memory, returning the decoded log plus the [`StreamStats`]
+    /// of the run. Peak *transit* memory is O(shards × chunk); the
+    /// decoded records themselves are retained (use
+    /// [`analyze_reader`](Self::analyze_reader) to avoid that too).
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Io`] if the reader fails; otherwise as
-    /// [`ingest_bytes`](Self::ingest_bytes).
+    /// [`PipelineError::Io`] if the reader fails. Otherwise, strict: the
+    /// first malformed unit; salvage: `E001`/`E008` only.
     pub fn ingest_reader<R: io::Read>(
         &self,
         reader: R,
@@ -498,7 +497,7 @@ impl Pipeline {
     }
 
     /// Analyzes an already-materialised record slice with the builder's
-    /// shard count — the historical `DragAnalyzer::analyze_sharded`.
+    /// shard count (what the removed `DragAnalyzer::analyze_sharded` did).
     pub fn analyze_records<F>(
         &self,
         records: &[ObjectRecord],
@@ -541,7 +540,6 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::codec::{BinarySink, TextSink, TraceSink};
-    use crate::log::ingest_bytes_impl;
     use crate::record::GcSample;
     use crate::report::ReportSections;
     use heapdrag_vm::ids::{ClassId, ObjectId};
@@ -589,15 +587,17 @@ mod tests {
     }
 
     #[test]
-    fn ingest_bytes_matches_the_legacy_engine() {
+    fn ingest_bytes_is_ingest_reader_over_the_slice() {
         for format in [LogFormat::Text, LogFormat::Binary] {
             let bytes = sample_log(format, true);
-            let legacy =
-                ingest_bytes_impl(&bytes, &ParallelConfig::default(), &IngestConfig::strict())
-                    .unwrap();
-            let new = Pipeline::options().ingest_bytes(&bytes).unwrap();
-            assert_eq!(new.log, legacy.log);
-            assert_eq!(new.salvage, legacy.salvage);
+            let (streamed, stats) = Pipeline::options().ingest_reader(&bytes[..]).unwrap();
+            let ingested = Pipeline::options().ingest_bytes(&bytes).unwrap();
+            assert_eq!(ingested.log, streamed.log);
+            assert_eq!(ingested.salvage, streamed.salvage);
+            assert_eq!(stats.bytes_read, bytes.len() as u64);
+            assert_eq!(ingested.log.records.len(), 40);
+            assert_eq!(ingested.log.samples.len(), 5);
+            assert_eq!(ingested.log.end_time, 123_456);
         }
     }
 

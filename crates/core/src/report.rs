@@ -285,16 +285,6 @@ impl<'a> ReportSections<'a> {
     }
 }
 
-/// Renders the report: totals, the top `top` nested allocation sites by
-/// drag, and the never-used "sure bet" sites.
-#[deprecated(
-    since = "0.2.0",
-    note = "assemble with `ReportSections::standard(report, namer).top(n).render()`"
-)]
-pub fn render(report: &DragReport, namer: &dyn ChainNamer, top: usize) -> String {
-    ReportSections::standard(report, namer).top(top).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,29 +343,6 @@ mod tests {
         let text = ReportSections::standard(&report, &FixedNamer).top(5).render();
         assert!(text.contains("drag report"));
         assert!(!text.contains("sure bets"));
-    }
-
-    /// The deprecated free function must stay a byte-identical thin
-    /// wrapper over the builder — old callers see unchanged output.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_render_matches_builder() {
-        let records = vec![ObjectRecord {
-            object: ObjectId(1),
-            class: ClassId(0),
-            size: 64,
-            created: 0,
-            freed: 512,
-            last_use: Some(100),
-            alloc_site: ChainId(2),
-            last_use_site: Some(ChainId(2)),
-            at_exit: false,
-        }];
-        let report = DragAnalyzer::new().analyze(&records, |c| Some(SiteId(c.0)));
-        assert_eq!(
-            render(&report, &FixedNamer, 7),
-            ReportSections::standard(&report, &FixedNamer).top(7).render()
-        );
     }
 
     /// The retaining-paths section appears only once samples are

@@ -1,21 +1,16 @@
 //! The shared, reusable decode worker pool.
 //!
-//! Before the serve mode existed, every ingest spawned its own worker
-//! threads (`std::thread::scope` in the streaming engine, the in-memory
-//! decoder, and the sharded analyzer), which is fine for one trace per
-//! process and catastrophic for a session manager: 1000 concurrent
-//! sessions at `--shards 8` would mean 8000 short-lived threads. The
-//! [`WorkerPool`] replaces all of those spawn sites with one fixed set of
-//! threads sized to the host; sessions share it at *chunk* granularity,
-//! so a thousand sessions still cost a dozen threads.
+//! A per-ingest set of decode threads is fine for one trace per process
+//! and catastrophic for a session manager: 1000 concurrent sessions at
+//! `--shards 8` would mean 8000 short-lived threads. The [`WorkerPool`]
+//! is one fixed set of threads sized to the host; every ingest shares it
+//! at *chunk* granularity, so a thousand sessions still cost a dozen
+//! threads.
 //!
-//! Two submission modes:
-//!
-//! * [`execute`](WorkerPool::execute) — fire-and-forget `'static` jobs
-//!   (the streaming engine's per-chunk decodes, which own their data).
-//! * [`scope`](WorkerPool::scope) — a batch of *borrowing* jobs run to
-//!   completion before the call returns (the in-memory decoder and the
-//!   sharded analyzer, whose work units borrow the caller's buffers).
+//! Jobs are fire-and-forget `'static` closures submitted with
+//! [`execute`](WorkerPool::execute): the streaming engine's per-chunk
+//! decodes, which own their data and send their result back over a
+//! channel.
 //!
 //! A panicking job is confined to itself: the worker catches the unwind,
 //! counts it, and moves on — one session's poisoned chunk can never take
@@ -187,61 +182,6 @@ impl WorkerPool {
         self.inner.jobs_run.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs a batch of borrowing jobs on the pool and blocks until every
-    /// one has finished (or been unwound by a panic). This is what lets
-    /// the in-memory decoder and the sharded analyzer keep handing
-    /// workers *references* into the caller's buffers without spawning
-    /// threads of their own.
-    ///
-    /// Must not be called from a pool worker (a job that waits on other
-    /// jobs of the same pool can deadlock a single-worker pool); the
-    /// callers are all coordinating threads.
-    pub fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let total = jobs.len();
-        let latch = Arc::new((Mutex::new(0usize), Condvar::new()));
-        for job in jobs {
-            // SAFETY: `scope` does not return until the latch has counted
-            // every job — run, panicked, or dropped unrun (the guard
-            // below counts in all three cases) — so the `'env` borrows
-            // inside `job` strictly outlive its execution. This is the
-            // same argument `std::thread::scope` makes; the transmute
-            // only erases the lifetime, the layout of the boxed trait
-            // object is unchanged.
-            let job: Job = unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
-            };
-            let latch = Arc::clone(&latch);
-            let inner = Arc::clone(&self.inner);
-            self.execute(Box::new(move || {
-                /// Counts the latch even when the job panics or is
-                /// dropped without running.
-                struct Count(Arc<(Mutex<usize>, Condvar)>);
-                impl Drop for Count {
-                    fn drop(&mut self) {
-                        let mut done = self.0 .0.lock().expect("scope latch poisoned");
-                        *done += 1;
-                        self.0 .1.notify_all();
-                    }
-                }
-                let _count = Count(latch);
-                // The panic is counted here, before `_count` releases the
-                // latch, so `panics()` is settled when `scope` returns
-                // (the latch mutex orders the count before the waiter).
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    inner.panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        let (lock, cond) = &*latch;
-        let mut done = lock.lock().expect("scope latch poisoned");
-        while *done < total {
-            done = cond.wait(done).expect("scope latch poisoned");
-        }
-    }
-
     /// Drains the queue (every already-submitted job runs) and joins all
     /// worker threads. Idempotent; also called on drop.
     pub fn shutdown(&self) {
@@ -322,49 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_borrowing_jobs_to_completion() {
-        let pool = WorkerPool::new(4);
-        let mut slots = [0u64; 16];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move || {
-                    *slot = (i as u64 + 1) * 10;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-        // scope returned, so every borrow is done and every slot written.
-        assert_eq!(slots[0], 10);
-        assert_eq!(slots[15], 160);
-        assert_eq!(slots.iter().sum::<u64>(), (1..=16).map(|i| i * 10).sum());
-    }
-
-    #[test]
-    fn scope_survives_a_panicking_job() {
-        let pool = WorkerPool::new(2);
-        let mut ok = [false; 8];
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ok
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("one bad shard");
-                    }
-                    *slot = true;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-        for (i, done) in ok.iter().enumerate() {
-            assert_eq!(*done, i != 3, "job {i}");
-        }
-        assert_eq!(pool.panics(), 1);
-    }
-
-    #[test]
     fn execute_after_shutdown_runs_inline() {
         let pool = WorkerPool::new(1);
         pool.shutdown();
@@ -380,25 +277,21 @@ mod tests {
     fn busy_peak_tracks_concurrency() {
         let pool = WorkerPool::new(2);
         let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                Box::new(move || {
-                    let (lock, cond) = &*gate;
-                    let mut n = lock.lock().unwrap();
-                    *n += 1;
-                    cond.notify_all();
-                    // Hold until both jobs are in flight, so the peak
-                    // deterministically reaches 2.
-                    while *n < 2 {
-                        n = cond.wait(n).unwrap();
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-        // Join the workers before reading `busy`: the scope latch fires
-        // inside the job, slightly before the worker's own decrement.
+        for _ in 0..2 {
+            let gate = Arc::clone(&gate);
+            pool.execute(Box::new(move || {
+                let (lock, cond) = &*gate;
+                let mut n = lock.lock().unwrap();
+                *n += 1;
+                cond.notify_all();
+                // Hold until both jobs are in flight, so the peak
+                // deterministically reaches 2.
+                while *n < 2 {
+                    n = cond.wait(n).unwrap();
+                }
+            }));
+        }
+        // Joining the workers waits for both jobs and settles `busy`.
         pool.shutdown();
         assert_eq!(pool.busy_peak(), 2);
         assert_eq!(pool.busy(), 0);

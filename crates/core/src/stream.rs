@@ -1,18 +1,17 @@
-//! The streaming, bounded-memory ingestion engine behind
-//! [`Pipeline`](crate::pipeline::Pipeline).
-//!
-//! The in-memory engine
-//! ([`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes)) needs the
-//! whole trace in one buffer. This module reads any [`std::io::Read`] in
-//! fixed blocks instead and keeps peak memory at O(shards × chunk):
+//! The one ingestion engine behind every
+//! [`Pipeline`](crate::pipeline::Pipeline) ingest and analyze terminal:
+//! streaming and bounded in memory. It reads any [`std::io::Read`] in
+//! fixed blocks (an in-memory slice is just a reader that never fails,
+//! which is all [`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes)
+//! is) and keeps peak transit memory at O(shards × chunk):
 //!
 //! 1. The **coordinator** (the calling thread) reads blocks and feeds an
-//!    incremental scanner that cuts the stream at line/frame boundaries —
-//!    the same boundaries, the same error taxonomy, and the same chunking
-//!    as the in-memory scan — emitting self-contained owned chunks.
+//!    incremental scanner that cuts the stream at line/frame boundaries,
+//!    emitting self-contained owned chunks. The boundaries, the error
+//!    taxonomy and the chunking depend only on the input, never on how
+//!    the reader happened to split it.
 //! 2. Each chunk but the last is submitted as an independent decode job
-//!    to the shared [`WorkerPool`] — the same per-chunk decoders the
-//!    in-memory path uses, but on threads that outlive the call and are
+//!    to the shared [`WorkerPool`], whose threads outlive the call and are
 //!    shared by every concurrent ingest in the process. A chunk is held
 //!    until the next one is cut, so the coordinator knows the last chunk
 //!    when the input ends and decodes it itself rather than wait for a
@@ -31,9 +30,10 @@
 //!
 //! Because chunk boundaries are input-determined, the merge runs in input
 //! order, and salvage's duplicate collapse happens at that ordered merge,
-//! the result is byte-identical to the in-memory engine for every shard
-//! count, pool size, both formats, strict and salvage —
-//! `tests/streaming_parity.rs` holds the two paths against each other.
+//! the result is byte-identical for every shard count, pool size and read
+//! size, in both formats, strict and salvage. `tests/streaming_parity.rs`
+//! holds the reader and slice terminals to each other and to the
+//! materialised analysis.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Read;
@@ -141,8 +141,7 @@ pub(crate) struct StreamedLog<F> {
 }
 
 /// A decode result; `out` is `None` when the decode job panicked on this
-/// chunk (degraded to a per-chunk `E010` by the merge, exactly like the
-/// in-memory engine's lost slots).
+/// chunk (degraded to a per-chunk `E010` by the merge).
 struct WorkDone {
     index: usize,
     units: usize,
@@ -263,9 +262,14 @@ impl<F: StreamFold> Merger<F> {
         }
         for r in out.retains {
             if self.salvage {
-                // No duplicate collapsing for retains: a retain sample has
-                // no identity and its multiplicity is its weight — see the
-                // batch merge in `log.rs` for the full argument.
+                // No duplicate collapsing for retains: unlike object
+                // records (identified by id) and deep-GC samples
+                // (identified by their census), a retain sample carries no
+                // identity — multiplicity is its weight. Ten identical
+                // elements sampled at one census are ten legitimate
+                // samples; collapsing them would skew every per-path
+                // weight and break the on-line/off-line
+                // `heapdrag_retain_samples_total` reconciliation.
                 self.max_event = Some(self.max_event.map_or(r.time, |m| m.max(r.time)));
             }
             self.retains_kept += 1;
@@ -475,12 +479,11 @@ fn read_block<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, Pipeline
     }
 }
 
-/// The streaming engine: reads `reader` once in bounded blocks, decodes
-/// chunks as jobs on `pool`, and folds kept records/samples into `fold`
-/// in input order on the calling thread. Semantics (errors, salvage
-/// summary, kept set, end-time synthesis) are identical to
-/// [`Pipeline::ingest_bytes`](crate::Pipeline::ingest_bytes) on the same
-/// bytes, for any pool size.
+/// The engine: reads `reader` once in bounded blocks, decodes chunks as
+/// jobs on `pool`, and folds kept records/samples into `fold` in input
+/// order on the calling thread. Errors, salvage summary, kept set and
+/// end-time synthesis follow the contract in [`crate::log`], and do not
+/// depend on the pool size or on how the reader splits the input.
 pub(crate) fn run<R: Read, F: StreamFold>(
     mut reader: R,
     par: &ParallelConfig,
@@ -492,25 +495,24 @@ pub(crate) fn run<R: Read, F: StreamFold>(
     let salvage = ingest.is_salvage();
     let chunk_records = par.effective_chunk();
 
-    // Prime the stream far enough to detect the format by magic bytes.
+    // Fill the first block far enough to detect the format by magic
+    // bytes; `head` bytes of it are read.
     let mut block = vec![0u8; READ_BLOCK];
-    let mut head: Vec<u8> = Vec::new();
-    let mut eof = false;
-    while head.len() < codec::binary::MAGIC.len() && !eof {
-        let n = read_block(&mut reader, &mut block)?;
+    let mut head = 0;
+    while head < codec::binary::MAGIC.len() {
+        let n = read_block(&mut reader, &mut block[head..])?;
         if n == 0 {
-            eof = true;
-        } else {
-            head.extend_from_slice(&block[..n]);
+            break;
         }
+        head += n;
     }
-    if head.is_empty() {
+    if head == 0 {
         return Err(LogError::new(ErrorCode::EmptyLog, 1, "empty log".into()).into());
     }
-    let format = LogFormat::detect(&head);
+    let format = LogFormat::detect(&block[..head]);
     let mut scanner = Scanner::new(format, salvage, chunk_records);
 
-    let mut bytes_read = head.len() as u64;
+    let mut bytes_read = head as u64;
     let mut engine = Engine::new(pool, flight_cap(par.shards), fold, salvage);
 
     // The coordinator loop: read, scan, dispatch, merge what's ready,
@@ -523,7 +525,7 @@ pub(crate) fn run<R: Read, F: StreamFold>(
         let scanner = &mut scanner;
         let mut coordinate = || -> Result<(), PipelineError> {
             let mut pending: Vec<OwnedChunk> = Vec::new();
-            scanner.feed(&head, &mut pending);
+            scanner.feed(&block[..head], &mut pending);
             engine.dispatch(&mut pending, scanner.buffered_bytes());
             while !scanner.aborted() {
                 let n = read_block(&mut reader, &mut block)?;
@@ -552,8 +554,8 @@ pub(crate) fn run<R: Read, F: StreamFold>(
     stats.bytes_read = bytes_read;
     let merger = engine.merger;
 
-    // Final assembly — a line-for-line mirror of the in-memory engine's
-    // merge, so the two paths cannot drift.
+    // Final assembly: scan-level and decode errors together, the
+    // strict/salvage verdict, and the salvage summary.
     let merge_start = Instant::now();
     let StreamScanState {
         chain_names,
@@ -649,8 +651,8 @@ pub(crate) fn run<R: Read, F: StreamFold>(
     })
 }
 
-/// The streaming-ingest fold: collects records and samples, yielding the
-/// same [`crate::ParsedLog`] contents as the in-memory engine.
+/// The ingest fold: collects records, samples and retains into the
+/// vectors of a [`crate::ParsedLog`].
 #[derive(Debug, Default)]
 pub(crate) struct CollectFold {
     pub(crate) records: Vec<ObjectRecord>,
@@ -676,7 +678,7 @@ impl StreamFold for CollectFold {
 mod tests {
     use super::*;
     use crate::codec::{BinarySink, TextSink, TraceSink};
-    use crate::log::{ingest_bytes_impl, IngestConfig};
+    use crate::log::IngestConfig;
     use heapdrag_vm::ids::{ChainId, ClassId, ObjectId};
 
     /// A reader that hands out at most `max` bytes per `read()` call —
@@ -752,56 +754,101 @@ mod tests {
         buf
     }
 
-    fn assert_stream_matches_ingest(bytes: &[u8], ingest: IngestConfig) {
-        for shards in [1usize, 3, 5] {
-            for chunk_records in [1usize, 7, 8192] {
+    /// Runs the engine over `bytes`, handed out `max_read` bytes per read.
+    fn run_trickled(
+        bytes: &[u8],
+        par: &ParallelConfig,
+        ingest: &IngestConfig,
+        max_read: usize,
+    ) -> Result<StreamedLog<CollectFold>, PipelineError> {
+        let reader = TrickleReader {
+            data: bytes,
+            pos: 0,
+            max: max_read,
+        };
+        run(
+            reader,
+            par,
+            ingest,
+            CollectFold::default(),
+            WorkerPool::shared(),
+        )
+    }
+
+    /// Asserts the result depends on neither the shard count nor the read
+    /// size: at each chunk size, every combination of shards and reads
+    /// against one sequential run fed the whole input in one read.
+    /// Returns the baseline's kept records and samples at the default
+    /// chunk size (`None` when the input fails).
+    fn assert_stream_matches_ingest(
+        bytes: &[u8],
+        ingest: IngestConfig,
+    ) -> Option<(Vec<ObjectRecord>, Vec<GcSample>)> {
+        let mut kept = None;
+        for chunk_records in [1usize, 7, 8192] {
+            let one_read = ParallelConfig {
+                shards: 1,
+                chunk_records,
+            };
+            let baseline = run_trickled(bytes, &one_read, &ingest, usize::MAX);
+            for shards in [1usize, 3, 5] {
                 let par = ParallelConfig {
                     shards,
                     chunk_records,
                 };
-                let baseline = ingest_bytes_impl(bytes, &par, &ingest);
                 for max_read in [1usize, 13, 4096, READ_BLOCK + 1] {
-                    let reader = TrickleReader {
-                        data: bytes,
-                        pos: 0,
-                        max: max_read,
-                    };
-                    let streamed =
-                        run(reader, &par, &ingest, CollectFold::default(), WorkerPool::shared());
+                    let streamed = run_trickled(bytes, &par, &ingest, max_read);
                     let ctx = format!(
                         "shards={shards} chunk_records={chunk_records} max_read={max_read}"
                     );
                     match (&baseline, streamed) {
-                        (Ok(ing), Ok(out)) => {
-                            assert_eq!(out.fold.records, ing.log.records, "{ctx}");
-                            assert_eq!(out.fold.samples, ing.log.samples, "{ctx}");
-                            assert_eq!(out.end_time, ing.log.end_time, "{ctx}");
-                            assert_eq!(out.chain_names, ing.log.chain_names, "{ctx}");
-                            assert_eq!(out.salvage, ing.salvage, "{ctx}");
+                        (Ok(want), Ok(out)) => {
+                            assert_eq!(out.fold.records, want.fold.records, "{ctx}");
+                            assert_eq!(out.fold.samples, want.fold.samples, "{ctx}");
+                            assert_eq!(out.fold.retains, want.fold.retains, "{ctx}");
+                            assert_eq!(out.end_time, want.end_time, "{ctx}");
+                            assert_eq!(out.chain_names, want.chain_names, "{ctx}");
+                            assert_eq!(out.salvage, want.salvage, "{ctx}");
                             assert_eq!(out.stats.bytes_read, bytes.len() as u64, "{ctx}");
                         }
-                        (Err(be), Err(PipelineError::Log(se))) => {
+                        (Err(PipelineError::Log(be)), Err(PipelineError::Log(se))) => {
                             assert_eq!(&se, be, "{ctx}");
                         }
-                        (b, s) => panic!("{ctx}: baseline {b:?} vs streamed ok={}", s.is_ok()),
+                        (b, s) => panic!(
+                            "{ctx}: one read ok={} vs streamed ok={}",
+                            b.is_ok(),
+                            s.is_ok()
+                        ),
                     }
                 }
+            }
+            if let Ok(want) = baseline {
+                assert_eq!(want.stats.bytes_read, bytes.len() as u64);
+                kept = Some((want.fold.records, want.fold.samples));
+            }
+        }
+        kept
+    }
+
+    #[test]
+    fn streaming_matches_one_read_on_clean_logs() {
+        let (records, samples) = sample_records(50);
+        for format in [LogFormat::Text, LogFormat::Binary] {
+            let bytes = encode(format, &records, &samples, true);
+            for ingest in [IngestConfig::strict(), IngestConfig::salvage()] {
+                let kept = assert_stream_matches_ingest(&bytes, ingest);
+                let want = (records.clone(), samples.clone());
+                assert_eq!(
+                    kept,
+                    Some(want),
+                    "{format:?} {ingest:?}: the encoded records"
+                );
             }
         }
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_clean_logs() {
-        let (records, samples) = sample_records(50);
-        for format in [LogFormat::Text, LogFormat::Binary] {
-            let bytes = encode(format, &records, &samples, true);
-            assert_stream_matches_ingest(&bytes, IngestConfig::strict());
-            assert_stream_matches_ingest(&bytes, IngestConfig::salvage());
-        }
-    }
-
-    #[test]
-    fn streaming_matches_in_memory_on_torn_logs() {
+    fn streaming_matches_one_read_on_torn_logs() {
         let (records, samples) = sample_records(30);
         for format in [LogFormat::Text, LogFormat::Binary] {
             let whole = encode(format, &records, &samples, false);
@@ -814,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_duplicates_and_garbage() {
+    fn streaming_matches_one_read_on_duplicates_and_garbage() {
         let (records, samples) = sample_records(12);
         // Text: duplicate a record line, interleave garbage directives.
         let text = String::from_utf8(encode(LogFormat::Text, &records, &samples, true)).unwrap();
@@ -826,7 +873,7 @@ mod tests {
         let mutated = lines.join("\n") + "\n";
         assert_stream_matches_ingest(mutated.as_bytes(), IngestConfig::salvage());
         assert_stream_matches_ingest(mutated.as_bytes(), IngestConfig::strict());
-        // Salvage error budget: identical E008 on both paths.
+        // Salvage error budget: identical E008 at every read size.
         let bounded = IngestConfig {
             mode: crate::log::IngestMode::Salvage,
             max_errors: Some(1),

@@ -1,8 +1,8 @@
 //! The fleet optimizer: the paper's loop — profile → rank → rewrite →
 //! verify → re-profile — run as one batch over the nine-workload
-//! evaluation suite, sharded on a [`WorkerPool`].
+//! evaluation suite, its jobs spread over a few worker threads.
 //!
-//! Each workload × input is one pool job. A job:
+//! Each workload × input is one job. A job:
 //!
 //! 1. profiles the original program on the fast interpreter,
 //! 2. ranks allocation sites by drag integral, feeding the run's records
@@ -27,12 +27,13 @@
 //! are shard-invariant. See `OPTIMIZER.md` for the operator's guide.
 
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use heapdrag_core::analyzer::DragReport;
 use heapdrag_core::pattern::TransformKind;
 use heapdrag_core::profiler::{profile, ProfileRun};
-use heapdrag_core::serve::WorkerPool;
+use heapdrag_core::parallel::run_indexed;
 use heapdrag_core::{Integrals, Pipeline};
 use heapdrag_obs::Registry;
 use heapdrag_transform::{
@@ -83,7 +84,7 @@ pub struct FleetOptions {
     pub inputs: InputSelection,
     /// Maximum profile → rewrite → re-profile rounds per job.
     pub rounds: usize,
-    /// Worker threads in the fleet's pool (jobs run concurrently).
+    /// Worker threads running the jobs concurrently (at most one per job).
     pub pool_workers: usize,
     /// Shard count for the ranking analysis (report is shard-invariant).
     pub shards: usize,
@@ -615,8 +616,9 @@ fn run_job(
     score
 }
 
-/// Runs the full fleet: every requested workload × input as one
-/// [`WorkerPool`] job, aggregated into a deterministic [`Scoreboard`].
+/// Runs the full fleet: every requested workload × input as one job on
+/// up to [`FleetOptions::pool_workers`] threads, aggregated into a
+/// deterministic [`Scoreboard`].
 ///
 /// When `registry` is given, the fleet's accounting is published as
 /// `heapdrag_optimize_*` metrics after the jobs complete (a deterministic
@@ -649,37 +651,18 @@ pub fn optimize_fleet(
         .flat_map(|w| labels.iter().map(move |l| (w, *l)))
         .collect();
 
-    let mut slots: Vec<Option<JobScore>> = (0..specs.len()).map(|_| None).collect();
-    {
-        // A fleet-owned pool, distinct from `WorkerPool::shared()`: the
-        // jobs call `Pipeline` terminals that fan out on the shared pool,
-        // and a pool's own workers must not re-enter its `scope`.
-        let pool = WorkerPool::new(options.pool_workers.max(1));
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = specs
-            .iter()
-            .zip(slots.iter_mut())
-            .map(|((workload, label), slot)| {
-                let workload: &Workload = workload;
-                let label: &'static str = label;
-                Box::new(move || {
-                    *slot = Some(run_job(workload, label, options));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.scope(jobs);
-    }
-
-    let scoreboard = Scoreboard {
-        jobs: specs
-            .iter()
-            .zip(slots)
-            .map(|((workload, label), slot)| {
-                slot.unwrap_or_else(|| {
-                    JobScore::failed(workload.name, label, "worker panicked".into())
-                })
-            })
-            .collect(),
-    };
+    // The jobs run on `min(pool_workers, jobs)` threads, the caller
+    // among them, each claiming the next unclaimed spec. A job that
+    // panics scores "worker panicked"; the other jobs are unaffected.
+    // The verify gate's per-thread memo of the last original may outlive
+    // the call on the caller's thread; it is keyed by the exact program,
+    // so it never changes a verdict.
+    let jobs = run_indexed(specs.len(), options.pool_workers, |i| {
+        let (workload, label) = specs[i];
+        catch_unwind(AssertUnwindSafe(|| run_job(workload, label, options)))
+            .unwrap_or_else(|_| JobScore::failed(workload.name, label, "worker panicked".into()))
+    });
+    let scoreboard = Scoreboard { jobs };
     if let Some(registry) = registry {
         scoreboard.publish_metrics(registry);
     }
